@@ -10,12 +10,12 @@ Subpackages by concern:
 * `ecurve` - curve point counts, trace parities, densities, parity PRNG
 * `coinflip` - committed coin flipping over a public line
 * `qwalk` - coined walks, marked-vertex search, walk-based agreement
-* `cli` - scenario runner emitting reproducible run reports
+* `cli` - scenario runner emitting reproducible run reports (not imported
+  here; `from qkeylab import cli` loads it on demand)
 """
 
 from . import (
     broadcast,
-    cli,
     clocksync,
     coinflip,
     ecurve,
@@ -31,7 +31,6 @@ from . import (
 
 __all__ = [
     "broadcast",
-    "cli",
     "clocksync",
     "coinflip",
     "ecurve",

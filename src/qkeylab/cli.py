@@ -7,7 +7,9 @@ keyed by trial id and reduced in id order; the worker count never appears in
 the report). Per-trial randomness is derived from the master seed by hashing
 it with the scenario name and the trial counter (see `seeds.derive_seed`).
 
-Exit codes: 0 success, 1 protocol failure or failed verdict, 2 config error.
+Exit codes: 0 success; 1 failed verdict or protocol failure; 2 unacceptable
+input (ConfigError, DomainError, ResourceError, unreadable config file,
+unwritable --out path). Every outside value goes through `build_config`.
 Master seed precedence: --master-seed flag, then QKEYLAB_MASTER_SEED in the
 environment, then a `master_seed` line in the config file, then 12345.
 """
@@ -19,17 +21,21 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import broadcast, coinflip, ecurve, keyexchange, qstate, qwalk, teleport
-from .clocksync import Clock, ticking_qubit_sync
-from .errors import ConfigError, QKeyLabError
+from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS, Clock, ticking_qubit_sync
+from .errors import ConfigError, DomainError, QKeyLabError, ResourceError
 from .numtheory import random_below
 from .seeds import derive_rng, derive_seed
 
 ENV_MASTER_SEED = "QKEYLAB_MASTER_SEED"
 DEFAULT_MASTER_SEED = 12345
+MAX_WORKERS = 64
+_MAX_SYNC_BITS = 52  # a double resolves no finer rung of the offset ladder
+_MAX_VERTICES = 1 << 16  # walk graphs hold Python adjacency tuples per vertex
 
 _REQUIRED = object()
 
@@ -40,6 +46,17 @@ def _seed_int(value) -> int:
     return int(text, 16) if text.lower().startswith("0x") else int(text)
 
 
+def _finite_float(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not finite: {value!r}")
+    return number
+
+
+def _int_list(value) -> tuple:
+    return tuple(int(s) for s in str(value).split(","))
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -47,14 +64,35 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
     return str(value)
 
 
 @dataclass(frozen=True)
 class FieldSpec:
+    """Parser, default, inclusive bounds (on each element of a tuple) and choices."""
+
     parse: object
     default: object
     help: str = ""
+    lo: object = None
+    hi: object = None
+    choices: tuple = ()
+
+    def check(self, key: str, raw):
+        try:
+            value = self.parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{key} must be one of {', '.join(self.choices)}, got {raw!r}")
+        for item in value if isinstance(value, tuple) else (value,):
+            if self.lo is not None and item < self.lo:
+                raise ConfigError(f"{key} must be >= {self.lo}, got {raw!r}")
+            if self.hi is not None and item > self.hi:
+                raise ConfigError(f"{key} must be <= {self.hi}, got {raw!r}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -100,15 +138,17 @@ class RunReport:
 
 
 def _map_trials(worker, n_trials: int, config: ScenarioConfig):
-    """Run trials serially or across processes; order is always by trial id."""
+    """Run trials serially or across at most n_trials processes; order is
+    always by trial id."""
     args = [
         (i, derive_seed(config.master_seed, config.scenario, i), config.params)
         for i in range(n_trials)
     ]
-    if config.workers <= 1 or n_trials < 2:
+    workers = min(config.workers, n_trials)
+    if workers <= 1:
         return [worker(a) for a in args]
-    chunk = max(1, n_trials // (config.workers * 8))
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    chunk = max(1, n_trials // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args, chunksize=chunk))
 
 
@@ -129,15 +169,13 @@ def _run_teleport_demo(config: ScenarioConfig) -> RunReport:
     report = RunReport("teleport-demo")
     results = _map_trials(_teleport_trial, p["trials"], config)
     fidelities = np.array([r[0] for r in results])
-    counts = {(bz, bx): 0 for bz in (0, 1) for bx in (0, 1)}
-    for _, bz, bx in results:
-        counts[(bz, bx)] += 1
+    outcomes = [(bz, bx) for _, bz, bx in results]
     report.stat("trials", p["trials"])
     report.stat("min_fidelity", float(fidelities.min()))
     report.stat("mean_fidelity", float(fidelities.mean()))
     balanced = True
-    for (bz, bx), c in sorted(counts.items()):
-        freq = c / p["trials"]
+    for bz, bx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        freq = outcomes.count((bz, bx)) / p["trials"]
         report.stat(f"outcome_freq_z{bz}x{bx}", freq)
         balanced = balanced and abs(freq - 0.25) <= p["freq_tol"]
     report.verdict("fidelity_floor", float(fidelities.min()) >= 1.0 - p["fidelity_tol"])
@@ -154,9 +192,7 @@ def _clocksync_trial(args):
     rng = np.random.default_rng(seed)
     span = p["delta_span"]
     true_delta = float(rng.uniform(-span, span) * p["t_max_ns"])
-    result = ticking_qubit_sync(
-        true_delta, p["n_bits"], p["t_max_ns"], p["shots_per_bit"], rng
-    )
+    result = ticking_qubit_sync(true_delta, p["n_bits"], p["t_max_ns"], p["shots_per_bit"], rng)
     return abs(result.delta_estimate_ns - true_delta)
 
 
@@ -220,38 +256,29 @@ def _run_dh(config: ScenarioConfig) -> RunReport:
 # -- scenarios: pqdh / private ---------------------------------------------------
 
 
-def _geometry(p):
+def _link(p):
+    """Source, receivers and sync-ladder keywords from the `_LINK_FIELDS` of a row."""
     source = broadcast.BroadcastSource(seed=p["broadcast_seed"], bitrate=p["bitrate"])
     alice = broadcast.Receiver("alice", p["distance_a_m"], Clock(p["offset_a_ns"]))
     bob = broadcast.Receiver("bob", p["distance_b_m"], Clock(p["offset_b_ns"]))
-    return source, alice, bob
+    sync = {name: p[name] for name in ("sync_n_bits", "sync_t_max_ns", "sync_shots_per_bit")}
+    return source, alice, bob, sync
 
 
 def _session_window(source, alice, session_index: int, length: int) -> broadcast.KeyWindow:
-    base = (
-        source.epoch_ns
-        + alice.propagation_delay_ns
-        + alice.clock.offset_ns
-        + 1e9
-        + session_index * 1e7
-    )
-    return broadcast.KeyWindow(base, length)
+    base = source.epoch_ns + alice.propagation_delay_ns + alice.clock.offset_ns
+    return broadcast.KeyWindow(base + 1e9 + session_index * 1e7, length)
 
 
 def _pqdh_session(args):
     i, seed, p = args
     rng = np.random.default_rng(seed)
-    source, alice, bob = _geometry(p)
+    source, alice, bob, sync = _link(p)
     prime = keyexchange.random_prime(p["p_bits"], rng)
     a = keyexchange.random_secret(prime, rng)
     b = keyexchange.random_secret(prime, rng)
     window = _session_window(source, alice, i, p["p_bits"])
-    result = keyexchange.pq_dh(
-        source, alice, bob, window, prime, a, b, rng,
-        sync_n_bits=p["sync_n_bits"],
-        sync_t_max_ns=p["sync_t_max_ns"],
-        sync_shots_per_bit=p["sync_shots_per_bit"],
-    )
+    result = keyexchange.pq_dh(source, alice, bob, window, prime, a, b, rng, **sync)
     agreed = result.agreed and result.key_alice.reveal() == result.key_bob.reveal()
     lines = result.transcript.render().splitlines() if i == 0 else []
     return (
@@ -283,14 +310,10 @@ def _run_pqdh(config: ScenarioConfig) -> RunReport:
 def _private_session(args):
     i, seed, p = args
     rng = np.random.default_rng(seed)
-    source, alice, bob = _geometry(p)
+    source, alice, bob, sync = _link(p)
     window = _session_window(source, alice, i, p["length_bits"])
     result = keyexchange.private_exchange(
-        source, alice, bob, window, rng,
-        slot_bits=p["slot_bits"],
-        sync_n_bits=p["sync_n_bits"],
-        sync_t_max_ns=p["sync_t_max_ns"],
-        sync_shots_per_bit=p["sync_shots_per_bit"],
+        source, alice, bob, window, rng, slot_bits=p["slot_bits"], **sync
     )
     key_a = result.key_alice.reveal()
     key_b = result.key_bob.reveal()
@@ -391,23 +414,21 @@ def _run_prng(config: ScenarioConfig) -> RunReport:
 # -- scenarios: qwalk search / sweep ----------------------------------------------
 
 
+_WALK_GRAPHS = {
+    "torus": qwalk.torus_graph,
+    "cycle": qwalk.cycle_graph,
+    "tree": qwalk.binary_tree_graph,
+}
+
+
 def _build_walk_graph(p, rng):
-    if p["graph"] == "torus":
-        n = p["n"]
-        factory = qwalk.torus_graph
-    elif p["graph"] == "cycle":
-        n = p["n"]
-        factory = qwalk.cycle_graph
-    elif p["graph"] == "tree":
-        n = p["depth"]
-        factory = qwalk.binary_tree_graph
-    else:
-        raise ConfigError(f"unknown graph kind {p['graph']!r}")
-    probe = factory(n)
+    tree = p["graph"] == "tree"
+    size = p["depth"] if tree else p["n"]
     marked = p["marked"]
     if marked < 0:
-        marked = int(rng.integers(probe.n_vertices))
-    return factory(n, marked={marked})
+        n_vertices = (1 << (size + 1)) - 1 if tree else size
+        marked = int(rng.integers(n_vertices))
+    return _WALK_GRAPHS[p["graph"]](size, marked={marked})
 
 
 def _run_qwalk_search(config: ScenarioConfig) -> RunReport:
@@ -443,9 +464,8 @@ def _run_qwalk_search(config: ScenarioConfig) -> RunReport:
 def _run_qwalk_sweep(config: ScenarioConfig) -> RunReport:
     p = config.params
     report = RunReport("qwalk-sweep")
-    sizes = [int(s) for s in str(p["sizes"]).split(",") if s]
     rng = derive_rng(config.master_seed, "qwalk-sweep", "marks")
-    points = qwalk.scaling_sweep(sizes, rng, p["cap_factor"])
+    points = qwalk.scaling_sweep(p["sizes"], rng, p["cap_factor"])
     scaled = []
     for point in points:
         c = point.p_star * math.log2(point.n_vertices)
@@ -526,32 +546,42 @@ def _run_eve_qwalk(config: ScenarioConfig) -> RunReport:
 # -- schemas and dispatch ------------------------------------------------------------
 
 
-def _sync_fields():
-    return {
-        "sync_n_bits": FieldSpec(int, 14, "clock-sync ladder depth"),
-        "sync_t_max_ns": FieldSpec(float, 1.6384e6, "clock-sync unambiguous window"),
-        "sync_shots_per_bit": FieldSpec(int, 100, "measurements per ladder rung"),
-    }
+_RUN_FIELDS = {
+    "master_seed": FieldSpec(_seed_int, DEFAULT_MASTER_SEED, "master seed (decimal or 0x-hex)"),
+    "workers": FieldSpec(int, 1, "parallel workers", 1, MAX_WORKERS),
+}
 
+# Broadcast geometry and clock-sync ladder, shared by the pqdh and private rows.
+_LINK_FIELDS = {
+    "broadcast_seed": FieldSpec(_seed_int, 7, "stream seed (decimal or 0x-hex)", 0),
+    "bitrate": FieldSpec(_finite_float, 1e6, "broadcast bits per second"),
+    "distance_a_m": FieldSpec(_finite_float, 0.0, "satellite distance, first party"),
+    "distance_b_m": FieldSpec(_finite_float, 299792.458, "satellite distance, second party"),
+    "offset_a_ns": FieldSpec(_finite_float, 0.0, "first party clock offset"),
+    "offset_b_ns": FieldSpec(_finite_float, 40000.0, "second party clock offset"),
+    "sync_n_bits": FieldSpec(int, SYNC_N_BITS, "clock-sync ladder depth", 1, _MAX_SYNC_BITS),
+    "sync_t_max_ns": FieldSpec(_finite_float, SYNC_T_MAX_NS, "clock-sync unambiguous window"),
+    "sync_shots_per_bit": FieldSpec(int, SYNC_SHOTS_PER_BIT, "measurements per ladder rung", 2),
+}
 
 SCENARIOS: dict = {
     "teleport-demo": (
         {
-            "trials": FieldSpec(int, 1000, "number of teleported states"),
-            "fidelity_tol": FieldSpec(float, 1e-9, "allowed fidelity shortfall"),
-            "freq_tol": FieldSpec(float, 0.02, "allowed outcome-frequency deviation"),
+            "trials": FieldSpec(int, 1000, "number of teleported states", 1),
+            "fidelity_tol": FieldSpec(_finite_float, 1e-9, "allowed fidelity shortfall", 0.0),
+            "freq_tol": FieldSpec(_finite_float, 0.02, "allowed outcome-frequency deviation", 0.0),
         },
         _run_teleport_demo,
     ),
     "clocksync": (
         {
-            "trials": FieldSpec(int, 200, "number of sync runs"),
-            "n_bits": FieldSpec(int, 14, "offset digits to resolve"),
-            "t_max_ns": FieldSpec(float, 1.6384e6, "unambiguous offset window"),
-            "shots_per_bit": FieldSpec(int, 100, "measurements per rung"),
-            "delta_span": FieldSpec(float, 0.45, "offsets drawn from +-span*t_max"),
-            "resolution_ns": FieldSpec(float, -1.0, "target resolution (<=0: t_max/2^n)"),
-            "pass_fraction": FieldSpec(float, 0.99, "required fraction within target"),
+            "trials": FieldSpec(int, 200, "number of sync runs", 1),
+            "n_bits": FieldSpec(int, SYNC_N_BITS, "offset digits to resolve", 1, _MAX_SYNC_BITS),
+            "t_max_ns": FieldSpec(_finite_float, SYNC_T_MAX_NS, "unambiguous offset window"),
+            "shots_per_bit": FieldSpec(int, SYNC_SHOTS_PER_BIT, "measurements per rung", 2),
+            "delta_span": FieldSpec(_finite_float, 0.45, "offsets drawn from +-span*t_max", 0.0),
+            "resolution_ns": FieldSpec(_finite_float, -1.0, "target resolution (<=0: t_max/2^n)"),
+            "pass_fraction": FieldSpec(_finite_float, 0.99, "required fraction within target"),
         },
         _run_clocksync,
     ),
@@ -559,49 +589,37 @@ SCENARIOS: dict = {
         {
             "p": FieldSpec(int, 23, "prime modulus (single-run mode)"),
             "g": FieldSpec(int, 5, "public base (single-run mode)"),
-            "instances": FieldSpec(int, 0, "random instances (0: single run with p,g)"),
-            "p_bits": FieldSpec(int, 48, "prime size for random instances"),
+            "instances": FieldSpec(int, 0, "random instances (0: single run with p,g)", 0),
+            "p_bits": FieldSpec(int, 48, "prime size for random instances", 3),
         },
         _run_dh,
     ),
     "pqdh": (
         {
-            "sessions": FieldSpec(int, 5, "independent protocol sessions"),
-            "p_bits": FieldSpec(int, 48, "prime modulus size"),
-            "broadcast_seed": FieldSpec(_seed_int, 7, "stream seed (decimal or 0x-hex)"),
-            "bitrate": FieldSpec(float, 1e6, "broadcast bits per second"),
-            "distance_a_m": FieldSpec(float, 0.0, "satellite distance, first party"),
-            "distance_b_m": FieldSpec(float, 299792.458, "satellite distance, second party"),
-            "offset_a_ns": FieldSpec(float, 0.0, "first party clock offset"),
-            "offset_b_ns": FieldSpec(float, 40000.0, "second party clock offset"),
-            **_sync_fields(),
+            "sessions": FieldSpec(int, 5, "independent protocol sessions", 1),
+            "p_bits": FieldSpec(int, 48, "prime modulus size", 2),
+            **_LINK_FIELDS,
         },
         _run_pqdh,
     ),
     "private": (
         {
-            "sessions": FieldSpec(int, 5, "independent protocol sessions"),
-            "length_bits": FieldSpec(int, 128, "key length"),
-            "slot_bits": FieldSpec(int, 8, "log2 of the slot schedule size"),
-            "broadcast_seed": FieldSpec(_seed_int, 7, "stream seed (decimal or 0x-hex)"),
-            "bitrate": FieldSpec(float, 1e6, "broadcast bits per second"),
-            "distance_a_m": FieldSpec(float, 0.0, "satellite distance, first party"),
-            "distance_b_m": FieldSpec(float, 299792.458, "satellite distance, second party"),
-            "offset_a_ns": FieldSpec(float, 0.0, "first party clock offset"),
-            "offset_b_ns": FieldSpec(float, 40000.0, "second party clock offset"),
-            **_sync_fields(),
+            "sessions": FieldSpec(int, 5, "independent protocol sessions", 1),
+            "length_bits": FieldSpec(int, 128, "key length", 1),
+            "slot_bits": FieldSpec(int, 8, "log2 of the slot schedule size", 1, 32),
+            **_LINK_FIELDS,
         },
         _run_private,
     ),
     "coinflip": (
         {
-            "b": FieldSpec(int, 64, "discriminant window base"),
-            "k": FieldSpec(int, 3, "commitment length exponent"),
-            "sessions": FieldSpec(int, 200, "sessions to run"),
-            "max_rounds": FieldSpec(int, 64, "challenge rounds before undecided"),
+            "b": FieldSpec(int, 64, "discriminant window base", 16),
+            "k": FieldSpec(int, 3, "commitment length exponent", 3),
+            "sessions": FieldSpec(int, 200, "sessions to run", 1),
+            "max_rounds": FieldSpec(int, 64, "challenge rounds before undecided", 1),
             "challenge_factor": FieldSpec(int, 10, "challenge primes drawn from (m, c*m]"),
-            "rate_tol": FieldSpec(float, 0.02, "decision-rate tolerance around 4/9"),
-            "heads_tol": FieldSpec(float, 0.02, "heads-balance tolerance around 1/2"),
+            "rate_tol": FieldSpec(_finite_float, 0.02, "decision-rate tolerance around 4/9", 0.0),
+            "heads_tol": FieldSpec(_finite_float, 0.02, "heads-balance tolerance around 1/2", 0.0),
         },
         _run_coinflip,
     ),
@@ -609,54 +627,56 @@ SCENARIOS: dict = {
         {
             "a": FieldSpec(int, _REQUIRED, "curve coefficient a"),
             "b": FieldSpec(int, _REQUIRED, "curve coefficient b"),
-            "x": FieldSpec(int, _REQUIRED, "prime scan bound"),
-            "target": FieldSpec(float, -1.0, "expected even fraction (<0: no verdict)"),
-            "tol": FieldSpec(float, 0.02, "allowed deviation from target"),
+            "x": FieldSpec(int, _REQUIRED, "prime scan bound", 100),
+            "target": FieldSpec(_finite_float, -1.0, "expected even fraction (<0: no verdict)"),
+            "tol": FieldSpec(_finite_float, 0.02, "allowed deviation from target", 0.0),
         },
         _run_density,
     ),
     "prng": (
         {
-            "prng_seed": FieldSpec(int, 1, "generator seed"),
-            "bits": FieldSpec(int, 10000, "output length"),
-            "tol": FieldSpec(float, 0.03, "allowed deviation of the zero fraction"),
+            "prng_seed": FieldSpec(int, 1, "generator seed", 0),
+            "bits": FieldSpec(int, 10000, "output length", 1),
+            "tol": FieldSpec(_finite_float, 0.03, "allowed deviation of the zero fraction", 0.0),
         },
         _run_prng,
     ),
     "qwalk-search": (
         {
-            "graph": FieldSpec(str, "torus", "graph kind: torus, cycle, or tree"),
-            "n": FieldSpec(int, 16, "vertex count (torus/cycle)"),
-            "depth": FieldSpec(int, 3, "tree depth (tree)"),
+            "graph": FieldSpec(str, "torus", "torus, cycle or tree", choices=tuple(_WALK_GRAPHS)),
+            "n": FieldSpec(int, 16, "vertex count (torus/cycle)", 3, _MAX_VERTICES),
+            "depth": FieldSpec(int, 3, "tree depth (tree)", 1, 15),
             "t": FieldSpec(int, -1, "walk steps (<0: 4*sqrt(N log2 N))"),
             "marked": FieldSpec(int, -1, "marked vertex (<0: seeded choice)"),
-            "trials": FieldSpec(int, 2000, "sampled measurements"),
+            "trials": FieldSpec(int, 2000, "sampled measurements", 1),
         },
         _run_qwalk_search,
     ),
     "qwalk-sweep": (
         {
-            "sizes": FieldSpec(str, "16,64,256", "comma-separated torus sizes"),
-            "cap_factor": FieldSpec(float, 4.0, "step cap multiplier"),
+            "sizes": FieldSpec(_int_list, (16, 64, 256), "comma-separated sizes", 9, _MAX_VERTICES),
+            "cap_factor": FieldSpec(_finite_float, 4.0, "step cap multiplier", 0.0, 16.0),
         },
         _run_qwalk_sweep,
     ),
     "eve-bounded-storage": (
         {
-            "trials": FieldSpec(int, 10000, "independent storage draws"),
-            "length": FieldSpec(int, 8, "key window length"),
-            "fraction": FieldSpec(float, 0.5, "stored fraction of the span"),
-            "span": FieldSpec(int, 2048, "observed stream span (bits)"),
-            "span_start": FieldSpec(int, 0, "first index of the span"),
-            "strategy": FieldSpec(str, "uniform", "storage strategy: uniform or prefix"),
-            "broadcast_seed": FieldSpec(_seed_int, 7, "stream seed (decimal or 0x-hex)"),
+            "trials": FieldSpec(int, 10000, "independent storage draws", 1),
+            "length": FieldSpec(int, 8, "key window length", 1),
+            "fraction": FieldSpec(_finite_float, 0.5, "stored fraction of the span", 0.0, 1.0),
+            "span": FieldSpec(int, 2048, "observed stream span (bits)", 1),
+            "span_start": FieldSpec(int, 0, "first index of the span", 0, 1 << 48),
+            "strategy": FieldSpec(
+                str, "uniform", "storage strategy: uniform or prefix", choices=("uniform", "prefix")
+            ),
+            "broadcast_seed": FieldSpec(_seed_int, 7, "stream seed (decimal or 0x-hex)", 0),
         },
         _run_eve_bounded_storage,
     ),
     "eve-qwalk": (
         {
-            "depth": FieldSpec(int, 8, "key width in bits (even)"),
-            "cap_factor": FieldSpec(float, 4.0, "step cap multiplier"),
+            "depth": FieldSpec(int, 8, "key width in bits (even)", 4, 16),
+            "cap_factor": FieldSpec(_finite_float, 4.0, "step cap multiplier", 0.0, 16.0),
         },
         _run_eve_qwalk,
     ),
@@ -664,11 +684,11 @@ SCENARIOS: dict = {
 
 
 def load_config_file(path: str) -> dict:
-    """Flat `key = value` lines; `#` starts a comment; blank lines ignored."""
+    """Flat `key = value` lines (UTF-8); `#` starts a comment; blank lines ignored."""
     values = {}
     try:
-        text = open(path).read()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -685,42 +705,36 @@ def build_config(
     scenario: str,
     file_values: dict | None = None,
     overrides: dict | None = None,
-    master_seed: int | None = None,
-    workers: int = 1,
+    master_seed=None,
+    workers=None,
 ) -> ScenarioConfig:
-    """Merge defaults, config file, and overrides; reject unknown keys."""
+    """Merge defaults, config file, environment and overrides through one
+    parse-and-bound path; reject unknown keys. None means "not given"."""
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
     schema, _ = SCENARIOS[scenario]
-    params = {name: spec.default for name, spec in schema.items()}
-    seed_from_file = None
-    for source in (file_values or {},):
-        for key, value in source.items():
-            if key == "master_seed":
-                seed_from_file = int(value)
-                continue
-            if key not in schema:
-                raise ConfigError(f"unknown config key {key!r} for scenario {scenario}")
-            try:
-                params[key] = schema[key].parse(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    for key, value in (overrides or {}).items():
-        if key not in schema:
+    file_values, overrides = file_values or {}, overrides or {}
+    for key in (*file_values, *overrides):
+        if key not in schema and key != "master_seed":
             raise ConfigError(f"unknown config key {key!r} for scenario {scenario}")
-        params[key] = schema[key].parse(value)
-    missing = [name for name, value in params.items() if value is _REQUIRED]
+    fields = {**schema, **_RUN_FIELDS}
+    values = {name: spec.default for name, spec in fields.items()}
+    given = [  # lowest precedence first
+        *file_values.items(),
+        (ENV_MASTER_SEED, os.environ.get(ENV_MASTER_SEED)),
+        *overrides.items(),
+        ("master_seed", master_seed),
+        ("workers", workers),
+    ]
+    for key, raw in given:
+        if raw is not None:
+            name = "master_seed" if key == ENV_MASTER_SEED else key
+            values[name] = fields[name].check(key, raw)
+    missing = [name for name, value in values.items() if value is _REQUIRED]
     if missing:
         raise ConfigError(f"missing required field: {missing[0]}")
-    if master_seed is None:
-        env = os.environ.get(ENV_MASTER_SEED)
-        if env is not None:
-            master_seed = int(env)
-        elif seed_from_file is not None:
-            master_seed = seed_from_file
-        else:
-            master_seed = DEFAULT_MASTER_SEED
-    return ScenarioConfig(scenario, master_seed, max(1, workers), params)
+    seed, n_workers = values.pop("master_seed"), values.pop("workers")
+    return ScenarioConfig(scenario, seed, n_workers, values)
 
 
 def run(config: ScenarioConfig) -> RunReport:
@@ -742,42 +756,30 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (schema, _) in SCENARIOS.items():
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--master-seed", type=int, default=None, help="master seed")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
         p.add_argument("--out", help="also write the report to this file")
-        for field_name, spec in schema.items():
-            p.add_argument(
-                f"--{field_name.replace('_', '-')}",
-                dest=f"param_{field_name}",
-                default=None,
-                help=spec.help,
-            )
+        for field_name, spec in {**_RUN_FIELDS, **schema}.items():
+            p.add_argument(f"--{field_name.replace('_', '-')}", dest=field_name, help=spec.help)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    scenario, config_path, out, master_seed, workers = (
+        args.pop(key) for key in ("scenario", "config", "out", "master_seed", "workers")
+    )
     try:
-        file_values = load_config_file(args.config) if args.config else {}
-        overrides = {
-            name[len("param_") :]: value
-            for name, value in vars(args).items()
-            if name.startswith("param_") and value is not None
-        }
-        config = build_config(
-            args.scenario, file_values, overrides, args.master_seed, args.workers
-        )
-        report = run(config)
-    except ConfigError as exc:
+        file_values = load_config_file(config_path) if config_path else {}
+        overrides = {name: value for name, value in args.items() if value is not None}
+        report = run(build_config(scenario, file_values, overrides, master_seed, workers))
+        text = report.render()
+        if out:
+            Path(out).write_text(text)
+    except (ConfigError, DomainError, ResourceError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QKeyLabError as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)
         return 1
-    text = report.render()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
     sys.stdout.write(text)
     return report.exit_code
 

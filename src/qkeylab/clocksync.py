@@ -25,6 +25,12 @@ from .qstate import apply_gate, h, measurement_probabilities, new_basis_state, p
 
 TWO_PI = 2.0 * math.pi
 
+# Default ladder of the broadcast protocols: 14 rungs over a 1.6384 ms window
+# resolve the offset to t_max / 2^14 = 100 ns, at 100 measured qubits per rung.
+SYNC_N_BITS = 14
+SYNC_T_MAX_NS = 1.6384e6
+SYNC_SHOTS_PER_BIT = 100
+
 
 @dataclass(frozen=True)
 class Clock:

@@ -38,10 +38,6 @@ class Curve:
     def discriminant(self) -> int:
         return 4 * self.a**3 + 27 * self.b**2
 
-    @property
-    def cubic_discriminant(self) -> int:
-        return -self.discriminant
-
 
 def _count_points_table(curve: Curve, p: int) -> int:
     # Assumes p > 3 prime and p coprime to the discriminant. Each x value

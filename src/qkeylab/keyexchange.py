@@ -33,7 +33,7 @@ from .broadcast import (
     extract_key,
     reception_index,
 )
-from .clocksync import ticking_qubit_sync
+from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS, ticking_qubit_sync
 from .errors import DomainError, ProtocolError
 from .numtheory import is_probable_prime, random_below, random_prime
 from .teleport import teleport_index
@@ -85,19 +85,12 @@ def flip_bit(value: int, index: int) -> int:
 
 
 def modexp(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by repeated squaring (O(log exponent) steps)."""
+    """base**exponent mod modulus (O(log exponent) multiplications)."""
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
     if exponent < 0:
         raise DomainError(f"exponent must be >= 0, got {exponent}")
-    result = 1
-    base %= modulus
-    while exponent:
-        if exponent & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exponent >>= 1
-    return result
+    return pow(base, exponent, modulus)
 
 
 # -- classic discrete-log exchange -------------------------------------------
@@ -234,9 +227,9 @@ def pq_dh(
     a: PartySecret,
     b: PartySecret,
     rng: np.random.Generator,
-    sync_n_bits: int = 14,
-    sync_t_max_ns: float = 1.6384e6,
-    sync_shots_per_bit: int = 100,
+    sync_n_bits: int = SYNC_N_BITS,
+    sync_t_max_ns: float = SYNC_T_MAX_NS,
+    sync_shots_per_bit: int = SYNC_SHOTS_PER_BIT,
 ) -> PqDhResult:
     """Exchange with a broadcast-extracted, teleport-tweaked generator.
 
@@ -345,9 +338,9 @@ def private_exchange(
     window: KeyWindow,
     rng: np.random.Generator,
     slot_bits: int = 8,
-    sync_n_bits: int = 14,
-    sync_t_max_ns: float = 1.6384e6,
-    sync_shots_per_bit: int = 100,
+    sync_n_bits: int = SYNC_N_BITS,
+    sync_t_max_ns: float = SYNC_T_MAX_NS,
+    sync_shots_per_bit: int = SYNC_SHOTS_PER_BIT,
 ) -> PrivateExchangeResult:
     """Key = a broadcast window; only its slot index is secret (teleported).
 

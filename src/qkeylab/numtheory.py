@@ -5,15 +5,16 @@ import numpy as np
 
 from .errors import DomainError
 
-# Deterministic Miller-Rabin witness set, exact for every n < 3.3 * 10^24,
-# far beyond the 64-bit moduli used here (error well under 2^-64 by being 0).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: the primes up to 41 leave no strong
+# pseudoprime below psi_13 ~ 3.3e24 (Sorenson-Webster 2015), far beyond the
+# 64-bit moduli used here; stopping at 37 accepts psi_12 ~ 3.19e23 itself.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
+    """Miller-Rabin over the prime bases 2..41 (deterministic below 3.3e24)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -27,6 +27,7 @@ from .broadcast import (
     aligned_start_time,
     extract_key,
 )
+from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS
 from .errors import DomainError
 from .keyexchange import run_clock_sync, teleport_secret_int
 from .transcript import Transcript, text_payload
@@ -291,9 +292,9 @@ def walk_agreement(
     source: BroadcastSource,
     window: KeyWindow,
     rng: np.random.Generator,
-    sync_n_bits: int = 14,
-    sync_t_max_ns: float = 1.6384e6,
-    sync_shots_per_bit: int = 100,
+    sync_n_bits: int = SYNC_N_BITS,
+    sync_t_max_ns: float = SYNC_T_MAX_NS,
+    sync_shots_per_bit: int = SYNC_SHOTS_PER_BIT,
 ) -> WalkAgreementResult:
     """Both parties tree-walk the same broadcast window with a teleported seed.
 

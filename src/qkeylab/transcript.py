@@ -63,9 +63,6 @@ class Transcript:
     def eve_view(self) -> tuple[TranscriptRecord, ...]:
         return tuple(r for r in self.records if r.channel == "public")
 
-    def eve_payloads(self) -> tuple[bytes, ...]:
-        return tuple(r.payload for r in self.eve_view)
-
     def render(self) -> str:
         return "\n".join(r.line() for r in self.records)
 

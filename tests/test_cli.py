@@ -1,19 +1,32 @@
+import contextlib
+import inspect
+import io
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkeylab import cli, clocksync, keyexchange, qwalk
 from qkeylab.errors import ConfigError
 from qkeylab.cli import (
     DEFAULT_MASTER_SEED,
     ENV_MASTER_SEED,
+    MAX_WORKERS,
     SCENARIOS,
     build_config,
     load_config_file,
     main,
     run,
 )
+from test_acceptance import MASTER_SEED, REPRO_CASES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 
 class TestConfig:
@@ -193,3 +206,226 @@ class TestVanishedKeysInReports:
     def test_private_report_shows_vanished_marker(self):
         report = run(build_config("private", overrides={"sessions": "1", "length_bits": "32"}))
         assert "key_render = <vanished>" in report.render()
+
+
+# -- the input contract ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scenario", sorted(REPRO_CASES))
+def test_repro_report_matches_golden(scenario):
+    config = build_config(scenario, overrides=REPRO_CASES[scenario], master_seed=MASTER_SEED)
+    expected = (GOLDEN_DIR / "repro" / f"{scenario}.txt").read_text()
+    assert run(config).render() == expected
+
+
+# (argv, QKEYLAB_MASTER_SEED or None, expected exit code)
+CONTRACT_CASES = [
+    (["dh", "--p", "abc"], None, 2),
+    (["dh"], "xyz", 2),
+    (["qwalk-sweep", "--sizes", "abc"], None, 2),
+    (["teleport-demo", "--trials", "0"], None, 2),
+    (["clocksync", "--trials", "-3"], None, 2),
+    (["coinflip", "--sessions", "0"], None, 2),
+    (["pqdh", "--sessions", "0"], None, 2),
+    (["private", "--sessions", "0"], None, 2),
+    (["eve-bounded-storage", "--trials", "0"], None, 2),
+    (["qwalk-search", "--trials", "0"], None, 2),
+    (["eve-qwalk", "--cap-factor", "nan"], None, 2),
+    (["qwalk-sweep", "--cap-factor", "inf"], None, 2),
+    (["private", "--bitrate", "inf"], None, 2),
+    (["eve-bounded-storage", "--fraction", "2"], None, 2),
+    (["qwalk-search", "--n", "15"], None, 2),
+    (["density", "--a", "0", "--b", "0", "--x", "200"], None, 2),
+    (["prng", "--bits", "0"], None, 2),
+    (["eve-qwalk", "--depth", "7"], None, 2),
+    (["dh", "--g", "0"], None, 2),
+    (["dh", "--instances", "-1"], None, 2),
+    (["dh", "--workers", "-5"], None, 2),
+    (["dh", "--master-seed", "0x10"], None, 0),
+    (["dh"], "0x10", 0),
+]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "argv,env_seed,code",
+        CONTRACT_CASES,
+        ids=[" ".join(argv) + (f" env={env}" if env else "") for argv, env, _ in CONTRACT_CASES],
+    )
+    def test_exit_code(self, argv, env_seed, code, monkeypatch, capsys):
+        monkeypatch.delenv(ENV_MASTER_SEED, raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv(ENV_MASTER_SEED, env_seed)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert ("config error" in captured.err) == (code == 2)
+        if code == 0:
+            assert "master_seed = 16" in captured.out
+
+    def test_hex_master_seed_in_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("master_seed = 0x10\n")
+        assert main(["dh", "--config", str(path)]) == 0
+        assert "master_seed = 16" in capsys.readouterr().out
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"p = 23\n# \xff\xfe\n")
+        assert main(["dh", "--config", str(path)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        assert main(["dh", "--out", str(tmp_path / "missing" / "r.txt")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_bad_value_names_its_key(self):
+        with pytest.raises(ConfigError, match="trials"):
+            build_config("teleport-demo", overrides={"trials": "0"})
+        with pytest.raises(ConfigError, match="sizes"):
+            build_config("qwalk-sweep", file_values={"sizes": "16,x"})
+        with pytest.raises(ConfigError, match=ENV_MASTER_SEED):
+            with mock.patch.dict(os.environ, {ENV_MASTER_SEED: "xyz"}):
+                build_config("dh")
+
+    def test_bad_file_value_checked_even_when_overridden(self):
+        with pytest.raises(ConfigError, match="master_seed"):
+            build_config("dh", file_values={"master_seed": "xyz"}, master_seed=1)
+
+    def test_workers_not_a_config_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'workers'"):
+            build_config("dh", file_values={"workers": "2"})
+
+    def test_workers_bounded(self):
+        assert build_config("dh", workers=MAX_WORKERS).workers == MAX_WORKERS
+        assert build_config("dh", workers="2").workers == 2
+        for bad in (0, -1, MAX_WORKERS + 1, "abc"):
+            with pytest.raises(ConfigError, match="workers"):
+                build_config("dh", workers=bad)
+
+    def test_choices_and_sizes_parsed_by_schema(self):
+        with pytest.raises(ConfigError, match="graph"):
+            build_config("qwalk-search", overrides={"graph": "star"})
+        config = build_config("qwalk-sweep", overrides={"sizes": "16, 64"})
+        assert config.params["sizes"] == (16, 64)
+        for bad in ("16,4", "", "16,,64"):
+            with pytest.raises(ConfigError, match="sizes"):
+                build_config("qwalk-sweep", overrides={"sizes": bad})
+
+    def test_pool_never_wider_than_trials(self, monkeypatch):
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize):
+                return map(fn, args)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        config = build_config("teleport-demo", workers=4)
+        assert len(cli._map_trials(cli._teleport_trial, 3, config)) == 3
+        assert len(cli._map_trials(cli._teleport_trial, 1, config)) == 1
+        assert widths == [3]
+
+
+def _past_bounds(spec):
+    """Values just outside a field's declared bounds and choices."""
+    step = 0.5 if isinstance(spec.lo if spec.lo is not None else spec.hi, float) else 1
+    out = []
+    if spec.lo is not None:
+        out.append(str(spec.lo - step))
+    if spec.hi is not None:
+        out.append(str(spec.hi + step))
+    out += [choice + "x" for choice in spec.choices]
+    return out
+
+
+PERTURBATIONS = ("", "abc", "0x10", "0", "-1", "nan", "inf")
+
+
+@st.composite
+def cli_inputs(draw):
+    scenario = draw(st.sampled_from(sorted(REPRO_CASES)))
+    schema, _ = SCENARIOS[scenario]
+    fields = dict(REPRO_CASES[scenario])
+    key = draw(st.sampled_from([None, *schema]))
+    if key is not None:
+        fields[key] = draw(st.sampled_from(PERTURBATIONS + tuple(_past_bounds(schema[key]))))
+    in_file = {k for k in sorted(fields) if draw(st.booleans())}
+    seeds = st.sampled_from((None, "12", "0x10") + PERTURBATIONS)
+    return {
+        "scenario": scenario,
+        "argv_fields": {k: v for k, v in fields.items() if k not in in_file},
+        "file_fields": {k: v for k, v in fields.items() if k in in_file},
+        "file_seed": draw(seeds),
+        "env_seed": draw(seeds),
+        "workers": draw(st.sampled_from(("-1", "0", "1", "2"))),
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=cli_inputs())
+def test_any_input_ends_in_report_or_clean_exit(case, tmp_path_factory):
+    argv = [case["scenario"], "--workers", case["workers"]]
+    for key, value in case["argv_fields"].items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    lines = [f"{k} = {v}" for k, v in case["file_fields"].items()]
+    if case["file_seed"] is not None:
+        lines.append(f"master_seed = {case['file_seed']}")
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    argv += ["--config", str(path)]
+    sink = io.StringIO()
+    with (
+        mock.patch.dict(os.environ),
+        contextlib.redirect_stdout(sink),
+        contextlib.redirect_stderr(sink),
+    ):
+        os.environ.pop(ENV_MASTER_SEED, None)
+        if case["env_seed"] is not None:
+            os.environ[ENV_MASTER_SEED] = case["env_seed"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line itself
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2)
+
+
+def test_cli_process_never_prints_traceback():
+    path = os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop(ENV_MASTER_SEED, None)
+    for argv, env_seed, code in [
+        (["dh", "--master-seed", "0x10"], None, 0),
+        (["dh", "--p", "abc"], None, 2),
+        (["dh"], "xyz", 2),
+        (["teleport-demo", "--trials", "0"], None, 2),
+    ]:
+        proc_env = env if env_seed is None else {**env, ENV_MASTER_SEED: env_seed}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkeylab.cli", *argv],
+            env=proc_env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qkeylab; print('qkeylab.cli' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_sync_ladder_defaults_named_once():
+    expected = (clocksync.SYNC_N_BITS, clocksync.SYNC_T_MAX_NS, clocksync.SYNC_SHOTS_PER_BIT)
+    assert expected == (14, 1.6384e6, 100)
+    names = ("sync_n_bits", "sync_t_max_ns", "sync_shots_per_bit")
+    for fn in (keyexchange.pq_dh, keyexchange.private_exchange, qwalk.walk_agreement):
+        params = inspect.signature(fn).parameters
+        assert tuple(params[name].default for name in names) == expected

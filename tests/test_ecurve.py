@@ -281,6 +281,12 @@ class TestPrimality:
         for n in range(2, 2000):
             assert is_probable_prime(n) == (n in sieve)
 
+    def test_psi12_rejected(self):
+        # 399165290221 * 798330580441 is a strong pseudoprime to every prime
+        # base up to 37 (Sorenson-Webster psi_12); base 41 exposes it.
+        assert not is_probable_prime(318665857834031151167461)
+        assert is_probable_prime(2**89 - 1)
+
 
 class TestSmallPrimeCoefficients:
     def test_value_at_two_from_affine_count(self):
