@@ -439,11 +439,7 @@ def _run_qwalk_search(config: ScenarioConfig) -> RunReport:
     t_steps = p["t"]
     if t_steps < 0:
         t_steps = qwalk.sweep_step_cap(graph.n_vertices)
-    operator = qwalk.marked_walk(graph)
-    state = qwalk.uniform_superposition(graph)
-    for _ in range(t_steps):
-        state = qwalk.step(state, graph, operator)
-    probs = np.clip(qwalk.position_probabilities(state, graph).real, 0.0, None)
+    probs = np.clip(qwalk.walk_distribution(graph, t_steps).real, 0.0, None)
     exact = float(probs[sorted(graph.marked)].sum())
     sampler = derive_rng(config.master_seed, "qwalk-search", "sample")
     draws = sampler.choice(graph.n_vertices, size=p["trials"], p=probs / probs.sum())
@@ -627,7 +623,7 @@ SCENARIOS: dict = {
         {
             "a": FieldSpec(int, _REQUIRED, "curve coefficient a"),
             "b": FieldSpec(int, _REQUIRED, "curve coefficient b"),
-            "x": FieldSpec(int, _REQUIRED, "prime scan bound", 100),
+            "x": FieldSpec(int, _REQUIRED, "prime scan bound", 100, ecurve.MAX_SCAN),
             "target": FieldSpec(_finite_float, -1.0, "expected even fraction (<0: no verdict)"),
             "tol": FieldSpec(_finite_float, 0.02, "allowed deviation from target", 0.0),
         },
@@ -636,7 +632,7 @@ SCENARIOS: dict = {
     "prng": (
         {
             "prng_seed": FieldSpec(int, 1, "generator seed", 0),
-            "bits": FieldSpec(int, 10000, "output length", 1),
+            "bits": FieldSpec(int, 10000, "output length", 1, ecurve.MAX_SCAN),
             "tol": FieldSpec(_finite_float, 0.03, "allowed deviation of the zero fraction", 0.0),
         },
         _run_prng,

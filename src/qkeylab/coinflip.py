@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ecurve import Curve, ZetaCoeffs, prime_coefficient, splitting_degree, zeta_coefficients
+from .ecurve import (
+    MAX_TABLE_PRIME,
+    Curve,
+    ZetaCoeffs,
+    prime_coefficient,
+    splitting_degree,
+    zeta_coefficients,
+)
 from .errors import DomainError, ResourceError
 from .numtheory import is_probable_prime, primes_up_to
 from .transcript import Transcript, text_payload
@@ -29,6 +36,7 @@ RETRY = "retry"
 UNDECIDED = "undecided"
 
 _SETUP_BUDGET = 200_000
+MAX_COMMITMENT = 1 << 16  # committing costs ~m^2 / log m; m = 6^7 took minutes
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,13 @@ def alice_setup(B: int, k: int, rng: np.random.Generator, challenge_factor: int 
         raise DomainError(f"need B >= 16, got {B}")
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")
+    # Test in log space first: log2(B)^k overflows a float long before k is large.
+    if k * math.log2(math.log2(B)) > 64 or (m := commitment_length(B, k)) > MAX_COMMITMENT:
+        raise ResourceError(f"commitment length log2({B})^{k} exceeds the cap {MAX_COMMITMENT}")
+    if challenge_factor * m > MAX_TABLE_PRIME:
+        raise ResourceError(
+            f"challenge primes up to {challenge_factor * m} exceed the table cap {MAX_TABLE_PRIME}"
+        )
     a_cap = int((B / 2) ** (1 / 3)) + 1
     b_cap = math.isqrt(2 * B // 27) + 1
     for _ in range(_SETUP_BUDGET):
@@ -97,7 +112,6 @@ def alice_setup(B: int, k: int, rng: np.random.Generator, challenge_factor: int 
         if splitting_degree(a, b) != 6:
             continue
         curve = Curve(a, b)
-        m = commitment_length(B, k)
         return CoinFlipSession(
             B=B,
             k=k,

@@ -184,6 +184,15 @@ def position_probabilities(state: CoinedWalkState, graph: Graph) -> np.ndarray:
     return np.add.reduceat(weights, graph.arc_offsets)
 
 
+def walk_distribution(graph: Graph, t_steps: int) -> np.ndarray:
+    """Vertex probabilities after t_steps of the marked walk from the uniform state."""
+    operator = marked_walk(graph)
+    state = uniform_superposition(graph)
+    for _ in range(t_steps):
+        state = step(state, graph, operator)
+    return position_probabilities(state, graph)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     measured_vertex: int
@@ -198,11 +207,7 @@ def search(graph: Graph, t_steps: int, rng: np.random.Generator) -> SearchResult
         raise DomainError("search needs at least one marked vertex")
     if t_steps < 0:
         raise DomainError(f"step count must be >= 0, got {t_steps}")
-    operator = marked_walk(graph)
-    state = uniform_superposition(graph)
-    for _ in range(t_steps):
-        state = step(state, graph, operator)
-    probs = position_probabilities(state, graph)
+    probs = walk_distribution(graph, t_steps)
     exact = float(probs[sorted(graph.marked)].sum())
     probs = np.clip(probs.real, 0.0, None)
     vertex = int(rng.choice(graph.n_vertices, p=probs / probs.sum()))

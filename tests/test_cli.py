@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkeylab import cli, clocksync, keyexchange, qwalk
+from qkeylab import cli, clocksync, coinflip, ecurve, keyexchange, qwalk
 from qkeylab.errors import ConfigError
 from qkeylab.cli import (
     DEFAULT_MASTER_SEED,
@@ -245,6 +245,16 @@ CONTRACT_CASES = [
     (["dh"], "0x10", 0),
 ]
 
+# Inputs past a size cap: each must exit 2 before the work it would start.
+CAP_CASES = [
+    ["density", "--a", "0", "--b", "-2", "--x", str(ecurve.MAX_SCAN + 1)],
+    ["prng", "--bits", str(ecurve.MAX_SCAN + 1)],
+    ["coinflip", "--k", "7"],
+    ["coinflip", "--k", "1000000"],
+    ["coinflip", "--b", str(10**400)],
+    ["coinflip", "--challenge-factor", "100000"],
+]
+
 
 class TestInputContract:
     @pytest.mark.parametrize(
@@ -332,6 +342,26 @@ class TestInputContract:
         assert len(cli._map_trials(cli._teleport_trial, 3, config)) == 3
         assert len(cli._map_trials(cli._teleport_trial, 1, config)) == 1
         assert widths == [3]
+
+    @pytest.mark.parametrize("argv", CAP_CASES, ids=" ".join)
+    def test_size_caps_exit_2(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("work started past the cap")
+
+        for module, name in (
+            (ecurve, "primes_up_to"),
+            (coinflip, "primes_up_to"),
+            (coinflip, "zeta_coefficients"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a,b", [(str(10**20), "1"), ("-3", str(-(10**30) - 1))])
+    def test_huge_curve_coefficients_give_a_report(self, a, b, capsys):
+        assert main(["density", "--a", a, "--b", b, "--x", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "even_fraction = " in out and "splitting_degree = 6" in out
 
 
 def _past_bounds(spec):

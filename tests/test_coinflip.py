@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qkeylab.errors import DomainError
+from qkeylab import coinflip
+from qkeylab.errors import DomainError, ResourceError
 from qkeylab.ecurve import Curve, splitting_degree, zeta_coefficients
 from qkeylab.coinflip import (
     HEADS,
+    MAX_COMMITMENT,
     RETRY,
     TAILS,
     UNDECIDED,
@@ -227,3 +229,24 @@ class TestHiding:
         v2 = zeta_coefficients(two, m).values
         assert not np.array_equal(v1, v2)  # the vectors differ in sign pattern
         assert np.array_equal(v1 & 1, v2 & 1)  # but every parity coincides
+
+
+class TestCommitmentCap:
+    def test_oversized_commitment_rejected_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started past the cap")
+
+        monkeypatch.setattr(coinflip, "zeta_coefficients", refuse)
+        monkeypatch.setattr(coinflip, "primes_up_to", refuse)
+        rng = np.random.default_rng(1)
+        for B, k in ((64, 7), (64, 10**6), (10**400, 3)):
+            with pytest.raises(ResourceError, match="commitment"):
+                alice_setup(B, k, rng)
+        with pytest.raises(ResourceError, match="challenge"):
+            alice_setup(64, 3, rng, challenge_factor=10**5)
+
+    def test_configured_lengths_fit(self):
+        # The CLI default (B=64), the acceptance run (B=256) and the largest
+        # benchmarked window (B=4096), all at k=3; k=6 at B=64 is the largest allowed.
+        assert [commitment_length(B, 3) for B in (64, 256, 4096)] == [216, 512, 1728]
+        assert commitment_length(64, 6) <= MAX_COMMITMENT < commitment_length(64, 7)

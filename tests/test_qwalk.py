@@ -27,6 +27,7 @@ from qkeylab.qwalk import (
     tree_walk_key,
     uniform_superposition,
     walk_agreement,
+    walk_distribution,
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "qwalk_sweep.json").read_text())
@@ -329,3 +330,13 @@ class TestSixteenVertexSweep:
         t_star = int(np.argmax(trace[1:41])) + 1
         assert t_star == row["t_star"]
         assert trace[t_star] == pytest.approx(row["p_star"], abs=1e-12)
+
+
+class TestWalkDistribution:
+    def test_search_measures_the_shared_distribution(self):
+        g = torus_graph(64, marked={9})
+        probs = walk_distribution(g, 12)
+        assert probs.sum() == pytest.approx(1.0)
+        assert probs[9] == pytest.approx(success_probability_trace(g, 12)[12], abs=1e-15)
+        result = search(g, 12, np.random.default_rng(3))
+        assert result.exact_success_probability == float(probs[[9]].sum())

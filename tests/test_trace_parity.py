@@ -1,0 +1,188 @@
+"""The O(log p) trace-parity path against its O(p) point-count twin, and the
+size caps of the parity scans and the point-count tables."""
+import math
+import random
+
+import numpy as np
+import pytest
+
+from qkeylab import ecurve
+from qkeylab.ecurve import (
+    MAX_SCAN,
+    MAX_TABLE_PRIME,
+    Curve,
+    _count_points_table,
+    _integer_roots,
+    _residues,
+    _trace_is_even,
+    count_points,
+    parity_density_scan,
+    parity_prng,
+    prime_coefficient,
+    splitting_degree,
+)
+from qkeylab.errors import ResourceError
+from qkeylab.numtheory import is_probable_prime, primes_up_to
+
+BEYOND_INT64 = 1 << 70
+NAMED_CURVES = {(-1, 0): 1, (0, -1): 2, (-3, 1): 3, (0, -2): 6}
+
+
+def table_parity_is_even(curve, primes):
+    return np.array([(p + 1 - _count_points_table(curve, p)) & 1 == 0 for p in primes.tolist()])
+
+
+def good_primes(curve, hi, lo=5):
+    primes = primes_up_to(hi)
+    return np.array([p for p in primes.tolist() if p >= lo and curve.discriminant % p])
+
+
+def python_trace_is_even(a, b, p):
+    """The same root test in Python ints: x^p in F_p[x]/(x^3 + ax + b) by
+    right-to-left square-and-multiply, plus Euler's criterion."""
+
+    def mul(u, v):
+        d = [0] * 5
+        for i in range(3):
+            for j in range(3):
+                d[i + j] += u[i] * v[j]
+        d[2] -= a * d[4]  # x^4 = -a x^2 - b x
+        d[1] -= b * d[4]
+        d[1] -= a * d[3]  # x^3 = -a x - b
+        d[0] -= b * d[3]
+        return [d[0] % p, d[1] % p, d[2] % p]
+
+    result, base, e = [1, 0, 0], [0, 1, 0], p
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    non_residue = pow(-(4 * a**3 + 27 * b**2) % p, (p - 1) // 2, p) == p - 1
+    return result == [0, 1, 0] or non_residue
+
+
+def random_curves(count, seed):
+    rng = random.Random(seed)
+    curves = []
+    while len(curves) < count:
+        scale = (60, 1 << 40, BEYOND_INT64)[len(curves) % 3]
+        a, b = rng.randint(-scale, scale), rng.randint(-scale, scale)
+        if 4 * a**3 + 27 * b**2:
+            curves.append(Curve(a, b))
+    return curves
+
+
+class TestAgainstPointCount:
+    @pytest.mark.parametrize("coeffs", sorted(NAMED_CURVES), ids=lambda c: f"degree{NAMED_CURVES[c]}")
+    def test_each_splitting_degree(self, coeffs):
+        assert splitting_degree(*coeffs) == NAMED_CURVES[coeffs]
+        curve = Curve(*coeffs)
+        primes = good_primes(curve, 20_000)
+        assert np.array_equal(_trace_is_even(curve, primes), table_parity_is_even(curve, primes))
+
+    def test_seeded_random_curves(self):
+        curves = random_curves(21, seed=2024)
+        assert any(c.a < 0 for c in curves) and any(c.b < 0 for c in curves)
+        assert any(abs(c.a) > 2**63 or abs(c.b) > 2**63 for c in curves)
+        for curve in curves:
+            primes = good_primes(curve, 20_000)
+            fast = _trace_is_even(curve, primes)
+            assert np.array_equal(fast, table_parity_is_even(curve, primes)), curve
+
+    def test_python_twin_agrees_with_point_count(self):
+        for curve in (Curve(0, -2), Curve(-3, 1), *random_curves(3, seed=5)):
+            primes = good_primes(curve, 2000)
+            twin = [python_trace_is_even(curve.a, curve.b, p) for p in primes.tolist()]
+            assert twin == table_parity_is_even(curve, primes).tolist()
+
+
+class TestNearInt64Limit:
+    def test_matches_python_twin_below_3_03e9(self):
+        # p^2 is within 0.5% of 2^63 here: a product added before reduction overflows.
+        primes = [p for p in range(3_030_000_000, 3_029_998_000, -1) if is_probable_prime(p)][:6]
+        assert len(primes) == 6
+        for curve in (Curve(0, -2), Curve(-3, 1), Curve(-1, 0), *random_curves(6, seed=99)):
+            good = np.array([p for p in primes if curve.discriminant % p], dtype=np.int64)
+            expected = [python_trace_is_even(curve.a, curve.b, p) for p in good.tolist()]
+            assert _trace_is_even(curve, good).tolist() == expected, curve
+
+
+class TestParityStream:
+    def test_prefix_does_not_depend_on_length(self):
+        for seed in (1, 2, 5):
+            full = parity_prng(seed, 3000)
+            for k in (1, 7, 256, 1000, 2999):
+                assert np.array_equal(parity_prng(seed, k), full[:k]), (seed, k)
+
+    def test_widens_past_bad_primes(self):
+        # Every prime in (3, 83] divides the discriminant, so the first
+        # stretch, (3, 100], yields only the bits at 89 and 97; the stream
+        # continues past 100 without repeating them.
+        q = math.prod(primes_up_to(83)[2:].tolist())
+        curve = Curve(3 * q, q)  # discriminant 27 q^2 (4q + 1)
+        bits = parity_prng(0, 12, curve)
+        primes = good_primes(curve, 1000)[:12]
+        assert primes[:3].tolist() == [89, 97, 101]
+        assert bits.tolist() == [int(not even) for even in table_parity_is_even(curve, primes)]
+
+
+class TestHugeCoefficients:
+    def test_scan_matches_point_count(self):
+        curve = Curve(10**20, 1)
+        report = parity_density_scan(curve, 2000)
+        primes = good_primes(curve, 2000)
+        even = table_parity_is_even(curve, primes)
+        assert report.primes_scanned == len(primes)
+        assert report.even_fraction == int(even.sum()) / len(primes)
+
+    def test_residues_exact(self):
+        moduli = np.append(primes_up_to(1000), [3_029_999_977, 2**32 - 5])
+        for n in (0, -1, 2**31, -(2**63), 2**64 + 5, -(10**40) - 7, 3**200):
+            assert _residues(n, moduli).tolist() == [n % q for q in moduli.tolist()], n
+
+    def test_integer_roots_exact(self):
+        r1, r2 = 10**15, 2 * 10**15 + 1
+        r3 = -(r1 + r2)
+        assert _integer_roots(r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3) == sorted([r1, r2, r3])
+        r = 10**18 + 7  # (x - r)(x^2 + rx + 1)
+        assert splitting_degree(1 - r * r, -r) == 2
+        t = 10**12  # Shanks' simplest cubic, shifted
+        assert splitting_degree(-3 * (t * t + t + 1), -(2 * t**3 + 3 * t * t + 3 * t + 1)) == 3
+        assert splitting_degree(0, -2 * 10**30) == 6
+
+    def test_integer_roots_match_brute_force(self):
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                expected = [r for r in range(-30, 31) if r**3 + a * r + b == 0]
+                assert _integer_roots(a, b) == expected, (a, b)
+
+
+class TestCaps:
+    @pytest.fixture
+    def no_sieve(self, monkeypatch):
+        def refuse(bound):
+            raise AssertionError(f"sieve of {bound} requested past the cap")
+
+        monkeypatch.setattr(ecurve, "primes_up_to", refuse)
+
+    def test_scan_bound_capped(self, no_sieve):
+        with pytest.raises(ResourceError):
+            parity_density_scan(Curve(0, -2), MAX_SCAN + 1)
+
+    def test_stream_length_capped(self, no_sieve):
+        with pytest.raises(ResourceError):
+            parity_prng(1, MAX_SCAN + 1)
+
+    def test_point_count_tables_capped(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("table allocated past the cap")
+
+        p = next(n for n in range(MAX_TABLE_PRIME + 1, 2 * MAX_TABLE_PRIME) if is_probable_prime(n))
+        monkeypatch.setattr(ecurve.np, "arange", refuse)
+        with pytest.raises(ResourceError):
+            count_points(Curve(1, 1), p)
+        with pytest.raises(ResourceError):
+            prime_coefficient(Curve(1, 1), p)
+        with pytest.raises(ResourceError):  # p divides the discriminant p^2 (4p + 27)
+            prime_coefficient(Curve(p, p), p)
