@@ -16,10 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocksync import Clock
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 LIGHT_SPEED_M_PER_S = 299_792_458  # exact
 _BLOCK_BITS = 256
+STREAM_BITS = _BLOCK_BITS << 64  # block indices are hashed as 8 bytes
+MAX_WINDOW_BITS = 1 << 22  # a read holds one int64 index and one byte per bit
+MAX_STORAGE_SPAN = 1 << 22  # drawing the stored subset holds one int64 per span index
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,8 @@ class KeyWindow:
     def __post_init__(self):
         if self.length < 1:
             raise DomainError(f"window length must be >= 1, got {self.length}")
+        if self.length > MAX_WINDOW_BITS:
+            raise ResourceError(f"window length {self.length} exceeds the cap {MAX_WINDOW_BITS}")
 
 
 def _block(seed: int, block_index: int) -> bytes:
@@ -96,8 +101,8 @@ def bits_range(source: BroadcastSource, start: int, length: int) -> np.ndarray:
     return bits[offset : offset + length].copy()
 
 
-def reception_index(source: BroadcastSource, receiver: Receiver, local_time_ns: float) -> int:
-    """Stream index arriving at `receiver` when its clock reads `local_time_ns`."""
+def _stream_position(source: BroadcastSource, receiver: Receiver, local_time_ns: float) -> float:
+    """Fractional stream index arriving at `receiver` when its clock reads `local_time_ns`."""
     emission_elapsed_ns = (
         local_time_ns
         - receiver.clock.offset_ns
@@ -108,7 +113,18 @@ def reception_index(source: BroadcastSource, receiver: Receiver, local_time_ns: 
         raise DomainError(
             f"local time {local_time_ns} ns precedes the first receivable bit"
         )
-    return int(math.floor(emission_elapsed_ns * source.bitrate / 1e9))
+    position = emission_elapsed_ns * source.bitrate / 1e9
+    if not position < STREAM_BITS:  # also NaN and infinity
+        raise DomainError(
+            f"local time {local_time_ns} ns maps to stream position {position}, "
+            f"beyond the end of the stream at 2^{STREAM_BITS.bit_length() - 1} bits"
+        )
+    return position
+
+
+def reception_index(source: BroadcastSource, receiver: Receiver, local_time_ns: float) -> int:
+    """Stream index arriving at `receiver` when its clock reads `local_time_ns`."""
+    return int(math.floor(_stream_position(source, receiver, local_time_ns)))
 
 
 def extract_key(source: BroadcastSource, receiver: Receiver, window: KeyWindow) -> np.ndarray:
@@ -126,15 +142,7 @@ def aligned_start_time(
     error (sync residue, float rounding): a start time in the middle of a bit
     period tolerates misalignment up to half a period in either direction.
     """
-    elapsed = (
-        earliest_local_ns
-        - receiver.clock.offset_ns
-        - receiver.propagation_delay_ns
-        - source.epoch_ns
-    )
-    if elapsed < 0:
-        raise DomainError(f"local time {earliest_local_ns} ns precedes the stream")
-    position = elapsed * source.bitrate / 1e9
+    position = _stream_position(source, receiver, earliest_local_ns)
     idx = math.floor(position)
     mid = idx + 0.5 if position <= idx + 0.5 else idx + 1.5
     return earliest_local_ns + (mid - position) * source.bit_period_ns
@@ -207,6 +215,8 @@ def eve_store(
         raise DomainError(f"stored fraction must be in [0,1], got {stored_fraction}")
     if span_length < 1 or span_start < 0:
         raise DomainError("storage span must be non-empty and non-negative")
+    if span_length > MAX_STORAGE_SPAN:
+        raise ResourceError(f"storage span {span_length} exceeds the cap {MAX_STORAGE_SPAN}")
     budget = int(math.floor(stored_fraction * span_length))
     if strategy == "uniform":
         kept = rng.choice(span_length, size=budget, replace=False)

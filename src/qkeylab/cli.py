@@ -26,9 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from . import broadcast, coinflip, ecurve, keyexchange, qstate, qwalk, teleport
-from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS, Clock, ticking_qubit_sync
+from .clocksync import (
+    MAX_SHOTS_PER_BIT,
+    SYNC_N_BITS,
+    SYNC_SHOTS_PER_BIT,
+    SYNC_T_MAX_NS,
+    Clock,
+    ticking_qubit_sync,
+)
 from .errors import ConfigError, DomainError, QKeyLabError, ResourceError
-from .numtheory import random_below
+from .numtheory import MAX_PRIME_BITS, random_below
 from .seeds import derive_rng, derive_seed
 
 ENV_MASTER_SEED = "QKEYLAB_MASTER_SEED"
@@ -198,6 +205,12 @@ def _clocksync_trial(args):
 
 def _run_clocksync(config: ScenarioConfig) -> RunReport:
     p = config.params
+    if not p["t_max_ns"] > 0:
+        raise ConfigError(f"t_max_ns must be > 0, got {p['t_max_ns']}")
+    if not p["delta_span"] < 0.5:
+        raise ConfigError(
+            f"delta_span must be < 0.5 to keep offsets inside +-t_max_ns/2, got {p['delta_span']}"
+        )
     report = RunReport("clocksync")
     errors = np.array(_map_trials(_clocksync_trial, p["trials"], config))
     resolution = p["resolution_ns"]
@@ -265,6 +278,16 @@ def _link(p):
     return source, alice, bob, sync
 
 
+def _check_sync_window(p):
+    """The sync ladder resolves an offset only inside +-sync_t_max_ns/2."""
+    gap = p["offset_b_ns"] - p["offset_a_ns"]
+    if not abs(gap) < p["sync_t_max_ns"] / 2:
+        raise ConfigError(
+            f"offset_b_ns - offset_a_ns = {gap} ns is outside the sync window "
+            f"+-sync_t_max_ns/2 = +-{p['sync_t_max_ns'] / 2} ns"
+        )
+
+
 def _session_window(source, alice, session_index: int, length: int) -> broadcast.KeyWindow:
     base = source.epoch_ns + alice.propagation_delay_ns + alice.clock.offset_ns
     return broadcast.KeyWindow(base + 1e9 + session_index * 1e7, length)
@@ -293,6 +316,7 @@ def _pqdh_session(args):
 
 def _run_pqdh(config: ScenarioConfig) -> RunReport:
     p = config.params
+    _check_sync_window(p)
     report = RunReport("pqdh")
     results = _map_trials(_pqdh_session, p["sessions"], config)
     agreed = [r[0] for r in results]
@@ -324,6 +348,7 @@ def _private_session(args):
 
 def _run_private(config: ScenarioConfig) -> RunReport:
     p = config.params
+    _check_sync_window(p)
     report = RunReport("private")
     results = _map_trials(_private_session, p["sessions"], config)
     agreed = [r[0] for r in results]
@@ -557,7 +582,9 @@ _LINK_FIELDS = {
     "offset_b_ns": FieldSpec(_finite_float, 40000.0, "second party clock offset"),
     "sync_n_bits": FieldSpec(int, SYNC_N_BITS, "clock-sync ladder depth", 1, _MAX_SYNC_BITS),
     "sync_t_max_ns": FieldSpec(_finite_float, SYNC_T_MAX_NS, "clock-sync unambiguous window"),
-    "sync_shots_per_bit": FieldSpec(int, SYNC_SHOTS_PER_BIT, "measurements per ladder rung", 2),
+    "sync_shots_per_bit": FieldSpec(
+        int, SYNC_SHOTS_PER_BIT, "measurements per ladder rung", 2, MAX_SHOTS_PER_BIT
+    ),
 }
 
 SCENARIOS: dict = {
@@ -574,7 +601,9 @@ SCENARIOS: dict = {
             "trials": FieldSpec(int, 200, "number of sync runs", 1),
             "n_bits": FieldSpec(int, SYNC_N_BITS, "offset digits to resolve", 1, _MAX_SYNC_BITS),
             "t_max_ns": FieldSpec(_finite_float, SYNC_T_MAX_NS, "unambiguous offset window"),
-            "shots_per_bit": FieldSpec(int, SYNC_SHOTS_PER_BIT, "measurements per rung", 2),
+            "shots_per_bit": FieldSpec(
+                int, SYNC_SHOTS_PER_BIT, "measurements per rung", 2, MAX_SHOTS_PER_BIT
+            ),
             "delta_span": FieldSpec(_finite_float, 0.45, "offsets drawn from +-span*t_max", 0.0),
             "resolution_ns": FieldSpec(_finite_float, -1.0, "target resolution (<=0: t_max/2^n)"),
             "pass_fraction": FieldSpec(_finite_float, 0.99, "required fraction within target"),
@@ -586,14 +615,14 @@ SCENARIOS: dict = {
             "p": FieldSpec(int, 23, "prime modulus (single-run mode)"),
             "g": FieldSpec(int, 5, "public base (single-run mode)"),
             "instances": FieldSpec(int, 0, "random instances (0: single run with p,g)", 0),
-            "p_bits": FieldSpec(int, 48, "prime size for random instances", 3),
+            "p_bits": FieldSpec(int, 48, "prime size for random instances", 3, MAX_PRIME_BITS),
         },
         _run_dh,
     ),
     "pqdh": (
         {
             "sessions": FieldSpec(int, 5, "independent protocol sessions", 1),
-            "p_bits": FieldSpec(int, 48, "prime modulus size", 2),
+            "p_bits": FieldSpec(int, 48, "prime modulus size", 2, MAX_PRIME_BITS),
             **_LINK_FIELDS,
         },
         _run_pqdh,
@@ -601,7 +630,7 @@ SCENARIOS: dict = {
     "private": (
         {
             "sessions": FieldSpec(int, 5, "independent protocol sessions", 1),
-            "length_bits": FieldSpec(int, 128, "key length", 1),
+            "length_bits": FieldSpec(int, 128, "key length", 1, broadcast.MAX_WINDOW_BITS),
             "slot_bits": FieldSpec(int, 8, "log2 of the slot schedule size", 1, 32),
             **_LINK_FIELDS,
         },
@@ -613,7 +642,8 @@ SCENARIOS: dict = {
             "k": FieldSpec(int, 3, "commitment length exponent", 3),
             "sessions": FieldSpec(int, 200, "sessions to run", 1),
             "max_rounds": FieldSpec(int, 64, "challenge rounds before undecided", 1),
-            "challenge_factor": FieldSpec(int, 10, "challenge primes drawn from (m, c*m]"),
+            # (m, 2m] holds two primes for every m >= 11 (Ramanujan), and m >= 64 here.
+            "challenge_factor": FieldSpec(int, 10, "challenge primes drawn from (m, c*m]", 2),
             "rate_tol": FieldSpec(_finite_float, 0.02, "decision-rate tolerance around 4/9", 0.0),
             "heads_tol": FieldSpec(_finite_float, 0.02, "heads-balance tolerance around 1/2", 0.0),
         },
@@ -658,9 +688,11 @@ SCENARIOS: dict = {
     "eve-bounded-storage": (
         {
             "trials": FieldSpec(int, 10000, "independent storage draws", 1),
-            "length": FieldSpec(int, 8, "key window length", 1),
+            "length": FieldSpec(int, 8, "key window length", 1, broadcast.MAX_WINDOW_BITS),
             "fraction": FieldSpec(_finite_float, 0.5, "stored fraction of the span", 0.0, 1.0),
-            "span": FieldSpec(int, 2048, "observed stream span (bits)", 1),
+            "span": FieldSpec(
+                int, 2048, "observed stream span (bits)", 1, broadcast.MAX_STORAGE_SPAN
+            ),
             "span_start": FieldSpec(int, 0, "first index of the span", 0, 1 << 48),
             "strategy": FieldSpec(
                 str, "uniform", "storage strategy: uniform or prefix", choices=("uniform", "prefix")

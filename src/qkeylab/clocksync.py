@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .qstate import apply_gate, h, measurement_probabilities, new_basis_state, phase
 
 TWO_PI = 2.0 * math.pi
@@ -30,6 +30,8 @@ TWO_PI = 2.0 * math.pi
 SYNC_N_BITS = 14
 SYNC_T_MAX_NS = 1.6384e6
 SYNC_SHOTS_PER_BIT = 100
+# Each rung draws its shots as one float64 array of this length.
+MAX_SHOTS_PER_BIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,8 @@ def ticking_qubit_sync(
         raise DomainError(f"need n_bits >= 1, got {n_bits}")
     if shots_per_bit < 2:
         raise DomainError(f"need shots_per_bit >= 2, got {shots_per_bit}")
+    if shots_per_bit > MAX_SHOTS_PER_BIT:
+        raise ResourceError(f"{shots_per_bit} shots per rung exceed the cap {MAX_SHOTS_PER_BIT}")
     if not (t_max_ns > 0 and abs(true_delta_ns) < t_max_ns / 2):
         raise DomainError(
             f"offset {true_delta_ns} ns outside the resolvable window +-{t_max_ns / 2} ns"

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 # Deterministic Miller-Rabin witnesses: the primes up to 41 leave no strong
 # pseudoprime below psi_13 ~ 3.3e24 (Sorenson-Webster 2015), far beyond the
@@ -11,6 +11,9 @@ from .errors import DomainError
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# A b-bit search tests about b*ln(2)/2 candidates at O(b^3) each: about 1 s at 1024.
+MAX_PRIME_BITS = 1024
 
 
 def is_probable_prime(n: int) -> bool:
@@ -52,6 +55,8 @@ def random_prime(bits: int, rng: np.random.Generator) -> int:
     """Random prime with exactly `bits` bits (top bit set)."""
     if bits < 2:
         raise DomainError(f"need bits >= 2, got {bits}")
+    if bits > MAX_PRIME_BITS:
+        raise ResourceError(f"prime size {bits} bits exceeds the cap {MAX_PRIME_BITS}")
     while True:
         raw = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
         candidate = (raw | (1 << (bits - 1)) | 1) & ((1 << bits) - 1)

@@ -4,6 +4,9 @@ Conventions, fixed once for the whole package:
 
 * Qubit k is the k-th least significant bit of the basis index, so on three
   qubits the basis state at amplitude index 5 is qubit0=1, qubit1=0, qubit2=1.
+  `_halves` is the one place that applies this rule: it views the amplitudes
+  as (high, 2, low), where [:, b, :] holds every amplitude whose qubit q
+  reads b. Every gate and measurement kernel works through that view.
 * Operations are pure: they return fresh states and never mutate inputs.
 * Randomness enters only through an explicitly injected
   ``numpy.random.Generator``; the module holds no ambient RNG state.
@@ -127,21 +130,22 @@ def _check_targets(state: StateVector, targets: tuple[int, ...]):
             raise DomainError(f"qubit {t} out of range for {state.n_qubits}-qubit state")
 
 
-def _apply_single(amps: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> np.ndarray:
-    # Axis n-1-q of the reshaped tensor corresponds to qubit q (LSB-0 indexing).
-    axis = n - 1 - qubit
-    tensor = np.moveaxis(amps.reshape([2] * n), axis, -1)
-    tensor = tensor @ matrix.T
-    return np.moveaxis(tensor, -1, axis).reshape(-1)
+def _halves(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """View `amps` as (high, 2, low); [:, b, :] holds the amplitudes where `qubit` reads b."""
+    return amps.reshape(-1, 2, 1 << qubit)
+
+
+def _apply_single(amps: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
+    return (matrix @ _halves(amps, qubit)).reshape(-1)
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
-    idx = np.arange(amps.size)
-    src = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)
-    base = idx[src]
-    flipped = base | (1 << target)
+    # The control = 1 half is a register one qubit smaller: the qubits above
+    # the control move down by one. X on its target swaps the target's halves.
     out = amps.copy()
-    out[base], out[flipped] = amps[flipped], amps[base]
+    ones = _halves(out, control)[:, 1, :]
+    inner = _halves(ones.flatten(), target - (target > control))
+    ones[...] = inner[:, ::-1, :].reshape(ones.shape)
     return out
 
 
@@ -159,7 +163,7 @@ def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
             matrix = _Z_MATRIX
         else:
             matrix = np.array([[1.0, 0.0], [0.0, np.exp(1j * gate.theta)]])
-        amps = _apply_single(state.amplitudes, state.n_qubits, gate.targets[0], matrix)
+        amps = _apply_single(state.amplitudes, gate.targets[0], matrix)
     return StateVector(state.n_qubits, amps)
 
 
@@ -172,9 +176,8 @@ def apply_gates(state: StateVector, gates) -> StateVector:
 def measurement_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
     """Born-rule probabilities (p0, p1) for measuring `qubit`."""
     _check_targets(state, (qubit,))
-    idx = np.arange(state.dim)
-    weights = np.abs(state.amplitudes) ** 2
-    p1 = float(weights[(idx >> qubit) & 1 == 1].sum())
+    ones = _halves(state.amplitudes, qubit)[:, 1, :]
+    p1 = float((np.abs(ones) ** 2).sum())
     p1 = min(max(p1, 0.0), 1.0)
     return 1.0 - p1, p1
 
@@ -190,9 +193,8 @@ def measure_qubit(
         raise InternalError(
             f"sampled a branch of probability {p_outcome}; sampling is inconsistent"
         )
-    idx = np.arange(state.dim)
-    keep = ((idx >> qubit) & 1) == outcome
-    amps = np.where(keep, state.amplitudes, 0.0) / math.sqrt(p_outcome)
+    amps = state.amplitudes / math.sqrt(p_outcome)
+    _halves(amps, qubit)[:, 1 - outcome, :] = 0.0
     return MeasurementRecord(qubit, outcome, p_outcome), StateVector(state.n_qubits, amps)
 
 

@@ -21,6 +21,8 @@ from .qstate import (
     fidelity,
     h,
     measure_qubit,
+    measurement_probabilities,
+    new_basis_state,
     x,
     z,
 )
@@ -62,12 +64,8 @@ def make_epr(state: StateVector, q1: int, q2: int) -> StateVector:
     if q1 == q2:
         raise DomainError("EPR pair needs two distinct qubits")
     for q in (q1, q2):
-        if not 0 <= q < state.n_qubits:
-            raise DomainError(f"qubit {q} out of range")
-    idx = np.arange(state.dim)
-    touched = (((idx >> q1) & 1) | ((idx >> q2) & 1)) == 1
-    if float(np.abs(state.amplitudes[touched]).max(initial=0.0)) > _ZERO_ATOL:
-        raise DomainError(f"qubits {q1} and {q2} must both be in |0> before pairing")
+        if measurement_probabilities(state, q)[1] > _ZERO_ATOL**2:
+            raise DomainError(f"qubits {q1} and {q2} must both be in |0> before pairing")
     state = apply_gate(state, h(q1))
     return apply_gate(state, cnot(q1, q2))
 
@@ -105,22 +103,26 @@ def _receiver_state(amps: np.ndarray, bit_z: int, bit_x: int) -> np.ndarray:
     return np.array([amps[base], amps[base + 4]])
 
 
+def _correct(receiver: StateVector, bit_z: int, bit_x: int) -> StateVector:
+    """The receiver-side correction: X if bit_x is 1, then Z if bit_z is 1."""
+    if bit_x:
+        receiver = apply_gate(receiver, x(0))
+    if bit_z:
+        receiver = apply_gate(receiver, z(0))
+    return receiver
+
+
 def teleport_state(
     input_state: StateVector, rng: np.random.Generator
 ) -> tuple[TeleportTranscript, StateVector]:
     """Teleport a single-qubit state; returns the run record and the replica."""
     state = _embed_with_pair(input_state)
     outcome, state = bell_measure(state, 0, 1, rng)
-    corrections = []
-    if outcome.bit_x:
-        state = apply_gate(state, x(2))
-        corrections.append("X")
-    if outcome.bit_z:
-        state = apply_gate(state, z(2))
-        corrections.append("Z")
-    receiver = StateVector(1, _receiver_state(state.amplitudes, outcome.bit_z, outcome.bit_x))
-    fid = fidelity(input_state, receiver)
-    return TeleportTranscript(outcome, tuple(corrections), fid), receiver
+    bit_z, bit_x = outcome.bit_z, outcome.bit_x
+    receiver = StateVector(1, _receiver_state(state.amplitudes, bit_z, bit_x))
+    receiver = _correct(receiver, bit_z, bit_x)
+    corrections = ("X",) * bit_x + ("Z",) * bit_z
+    return TeleportTranscript(outcome, corrections, fidelity(input_state, receiver)), receiver
 
 
 def teleport_branches(input_state: StateVector) -> tuple[TeleportBranch, ...]:
@@ -139,11 +141,7 @@ def teleport_branches(input_state: StateVector) -> tuple[TeleportBranch, ...]:
             sub = _receiver_state(state.amplitudes, bit_z, bit_x)
             prob = float((np.abs(sub) ** 2).sum())
             before = StateVector(1, sub / np.sqrt(prob))
-            after = before
-            if bit_x:
-                after = apply_gate(after, x(0))
-            if bit_z:
-                after = apply_gate(after, z(0))
+            after = _correct(before, bit_z, bit_x)
             branches.append(TeleportBranch(BellOutcome(bit_z, bit_x), prob, before, after))
     return tuple(branches)
 
@@ -167,10 +165,7 @@ def teleport_index(
         raise DomainError(f"{n} does not fit in {bit_width} bit(s)")
     value = 0
     for k in range(bit_width):
-        bit = (n >> k) & 1
-        record, received = teleport_state(
-            StateVector(1, np.array([1.0 - bit, float(bit)], dtype=complex)), rng
-        )
+        record, received = teleport_state(new_basis_state(1, (n >> k) & 1), rng)
         measured, _ = measure_qubit(received, 0, rng)
         value |= measured.outcome << k
         if sink is not None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkeylab import cli, clocksync, coinflip, ecurve, keyexchange, qwalk
+from qkeylab import broadcast, cli, clocksync, coinflip, ecurve, keyexchange, qwalk
 from qkeylab.errors import ConfigError
 from qkeylab.cli import (
     DEFAULT_MASTER_SEED,
@@ -255,6 +255,35 @@ CAP_CASES = [
     ["coinflip", "--challenge-factor", "100000"],
 ]
 
+# Sizes past a cap and geometries that place a window nowhere on the stream:
+# each must exit 2, and a size cap before the work it bounds.
+HUGE = "100000000000000000000"
+STREAM_CAP_CASES = [
+    ["eve-bounded-storage", "--trials", "1", "--span", HUGE],
+    ["eve-bounded-storage", "--trials", "1", "--span", "3000000000", "--fraction", "0.9"],
+    ["eve-bounded-storage", "--trials", "1", "--length", str(broadcast.MAX_WINDOW_BITS + 1)],
+    ["private", "--sessions", "1", "--length-bits", HUGE],
+    ["pqdh", "--sessions", "1", "--p-bits", HUGE],
+    ["dh", "--instances", "1", "--p-bits", HUGE],
+    ["clocksync", "--trials", "1", "--shots-per-bit", HUGE],
+    ["pqdh", "--sessions", "1", "--sync-shots-per-bit", HUGE],
+]
+GEOMETRY_CASES = [
+    ["pqdh", "--sessions", "1", "--distance-a-m", "1e300"],
+    ["pqdh", "--sessions", "1", "--distance-b-m", "1e300"],
+    ["private", "--sessions", "1", "--bitrate", "1e300"],
+    ["pqdh", "--sessions", "1", "--bitrate", "1e-300"],
+    ["pqdh", "--sessions", "1", "--sync-t-max-ns", "1e300"],
+]
+# Sync windows and challenge ranges with no room: the message names the key.
+KEY_NAMED_CASES = [
+    (["pqdh", "--sync-t-max-ns", "0"], "sync_t_max_ns"),
+    (["private", "--offset-b-ns", "1e7"], "offset_b_ns"),
+    (["coinflip", "--challenge-factor", "0"], "challenge_factor"),
+    (["clocksync", "--t-max-ns", "0"], "t_max_ns"),
+    (["clocksync", "--delta-span", "0.6"], "delta_span"),
+]
+
 
 class TestInputContract:
     @pytest.mark.parametrize(
@@ -357,6 +386,39 @@ class TestInputContract:
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", STREAM_CAP_CASES, ids=" ".join)
+    def test_stream_and_sync_caps_exit_2(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started past the cap")
+
+        for module, name in (
+            (keyexchange, "random_prime"),
+            (broadcast, "bits_range"),
+            (broadcast, "eve_store"),
+            (clocksync, "_estimate_turns"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert main(argv) == 2
+        assert "must be <=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", GEOMETRY_CASES, ids=" ".join)
+    def test_geometry_without_a_stream_position_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: local time" in err and "stream position" in err
+
+    @pytest.mark.parametrize(
+        "argv,key", KEY_NAMED_CASES, ids=[" ".join(argv) for argv, _ in KEY_NAMED_CASES]
+    )
+    def test_sync_window_and_challenge_range_name_the_key(self, argv, key, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a trial started before the check")
+
+        monkeypatch.setattr(cli, "_map_trials", refuse)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
     @pytest.mark.parametrize("a,b", [(str(10**20), "1"), ("-3", str(-(10**30) - 1))])
     def test_huge_curve_coefficients_give_a_report(self, a, b, capsys):
         assert main(["density", "--a", a, "--b", b, "--x", "100"]) == 0
@@ -377,6 +439,10 @@ def _past_bounds(spec):
 
 
 PERTURBATIONS = ("", "abc", "0x10", "0", "-1", "nan", "inf")
+# Past every size and geometry a config may hold; counts are left alone,
+# because a huge count is a long run, not a bad input.
+SIZE_PERTURBATIONS = (HUGE, "1e300", "1e-300")
+COUNT_FIELDS = ("trials", "sessions", "instances", "max_rounds", "t")
 
 
 @st.composite
@@ -386,7 +452,10 @@ def cli_inputs(draw):
     fields = dict(REPRO_CASES[scenario])
     key = draw(st.sampled_from([None, *schema]))
     if key is not None:
-        fields[key] = draw(st.sampled_from(PERTURBATIONS + tuple(_past_bounds(schema[key]))))
+        values = PERTURBATIONS + tuple(_past_bounds(schema[key]))
+        if key not in COUNT_FIELDS:
+            values += SIZE_PERTURBATIONS
+        fields[key] = draw(st.sampled_from(values))
     in_file = {k for k in sorted(fields) if draw(st.booleans())}
     seeds = st.sampled_from((None, "12", "0x10") + PERTURBATIONS)
     return {
@@ -437,6 +506,7 @@ def test_cli_process_never_prints_traceback():
         (["dh", "--p", "abc"], None, 2),
         (["dh"], "xyz", 2),
         (["teleport-demo", "--trials", "0"], None, 2),
+        *((argv, None, 2) for argv in STREAM_CAP_CASES + GEOMETRY_CASES),
     ]:
         proc_env = env if env_seed is None else {**env, ENV_MASTER_SEED: env_seed}
         proc = subprocess.run(

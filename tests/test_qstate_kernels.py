@@ -1,0 +1,163 @@
+"""The (high, 2, low) view kernels of `qstate` against slow, obvious twins.
+
+The reference functions below are the index-mask kernels the view replaced:
+each derives the positions of qubit q from a fresh `np.arange` of the basis
+indices. They stay here as the oracle for the fast path.
+"""
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from qkeylab import qstate
+from qkeylab.errors import DomainError
+from qkeylab.qstate import StateVector, cnot, h, new_basis_state, phase, x, z
+from qkeylab.teleport import make_epr, teleport_branches, teleport_state
+
+TOL = 1e-12
+
+
+def ref_apply_single(amps, n, qubit, matrix):
+    axis = n - 1 - qubit
+    tensor = np.moveaxis(amps.reshape([2] * n), axis, -1)
+    tensor = tensor @ matrix.T
+    return np.moveaxis(tensor, -1, axis).reshape(-1)
+
+
+def ref_apply_cnot(amps, control, target):
+    idx = np.arange(amps.size)
+    src = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)
+    base = idx[src]
+    flipped = base | (1 << target)
+    out = amps.copy()
+    out[base], out[flipped] = amps[flipped], amps[base]
+    return out
+
+
+def ref_p1(amps, qubit):
+    idx = np.arange(amps.size)
+    weights = np.abs(amps) ** 2
+    return float(weights[(idx >> qubit) & 1 == 1].sum())
+
+
+def ref_collapse(amps, qubit, outcome, p_outcome):
+    idx = np.arange(amps.size)
+    keep = ((idx >> qubit) & 1) == outcome
+    return np.where(keep, amps, 0.0) / math.sqrt(p_outcome)
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n, raw / np.linalg.norm(raw))
+
+
+class FixedDraw:
+    """Generator stub: rng.random() returns u, so u=0 forces outcome 1, u=1 outcome 0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+SIZES = range(1, 7)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_single_qubit_gates_match_reference(n):
+    state = random_state(n, 100 + n)
+    before = state.amplitudes.copy()
+    theta = 0.7 + n
+    for qubit in range(n):
+        for gate in (h(qubit), x(qubit), z(qubit), phase(theta, qubit)):
+            matrix = {
+                "H": qstate._H_MATRIX,
+                "X": qstate._X_MATRIX,
+                "Z": qstate._Z_MATRIX,
+                "PHASE": np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]]),
+            }[gate.kind]
+            got = qstate.apply_gate(state, gate).amplitudes
+            want = ref_apply_single(state.amplitudes, n, qubit, matrix)
+            np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+    np.testing.assert_array_equal(state.amplitudes, before)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_single_qubit_kernel_matches_reference_on_asymmetric_matrices(n):
+    # Every gate of the fixed set is a symmetric matrix; a random one also
+    # tells the matrix from its transpose.
+    rng = np.random.default_rng(500 + n)
+    state = random_state(n, 500 + n)
+    for qubit in range(n):
+        matrix = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        got = qstate._apply_single(state.amplitudes, qubit, matrix)
+        want = ref_apply_single(state.amplitudes, n, qubit, matrix)
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cnot_matches_reference_on_every_ordered_pair(n):
+    state = random_state(n, 200 + n)
+    before = state.amplitudes.copy()
+    for control, target in itertools.permutations(range(n), 2):
+        got = qstate.apply_gate(state, cnot(control, target)).amplitudes
+        want = ref_apply_cnot(state.amplitudes, control, target)
+        np.testing.assert_array_equal(got, want)  # a permutation: exact
+    np.testing.assert_array_equal(state.amplitudes, before)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_measurement_probabilities_match_reference(n):
+    state = random_state(n, 300 + n)
+    for qubit in range(n):
+        p0, p1 = qstate.measurement_probabilities(state, qubit)
+        assert abs(p1 - ref_p1(state.amplitudes, qubit)) <= TOL
+        assert abs(p0 + p1 - 1.0) <= TOL
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("outcome", (0, 1))
+def test_collapse_matches_reference(n, outcome):
+    state = random_state(n, 400 + n)
+    before = state.amplitudes.copy()
+    for qubit in range(n):
+        record, after = qstate.measure_qubit(state, qubit, FixedDraw(1.0 - outcome))
+        assert record.outcome == outcome
+        p1 = ref_p1(state.amplitudes, qubit)
+        p_outcome = p1 if outcome else 1.0 - p1
+        assert abs(record.probability - p_outcome) <= TOL
+        want = ref_collapse(state.amplitudes, qubit, outcome, record.probability)
+        np.testing.assert_allclose(after.amplitudes, want, rtol=0, atol=TOL)
+    np.testing.assert_array_equal(state.amplitudes, before)
+
+
+def test_teleported_receiver_is_the_sampled_branch_corrected():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(200):
+        raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+        payload = StateVector(1, raw / np.linalg.norm(raw))
+        record, receiver = teleport_state(payload, rng)
+        branch = next(b for b in teleport_branches(payload) if b.outcome == record.outcome)
+        np.testing.assert_allclose(
+            receiver.amplitudes, branch.receiver_after.amplitudes, rtol=0, atol=TOL
+        )
+        seen.add((record.outcome.bit_z, record.outcome.bit_x))
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("occupied", range(3))
+def test_make_epr_rejects_an_occupied_qubit_at_every_position(occupied):
+    for state in (
+        new_basis_state(3, 1 << occupied),
+        qstate.apply_gate(new_basis_state(3, 0), h(occupied)),
+    ):
+        for q1, q2 in itertools.permutations(range(3), 2):
+            if occupied in (q1, q2):
+                with pytest.raises(DomainError, match="must both be in"):
+                    make_epr(state, q1, q2)
+            else:
+                make_epr(state, q1, q2)
