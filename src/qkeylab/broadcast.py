@@ -78,21 +78,25 @@ def _block(seed: int, block_index: int) -> bytes:
     return hashlib.sha256(msg).digest()
 
 
+def _check_index(index: int) -> None:
+    if not 0 <= index < STREAM_BITS:
+        raise DomainError(f"stream index must be in [0, 2^72), got {index}")
+
+
 def bit_at(source: BroadcastSource, index: int) -> int:
-    """Stream bit at `index` (deterministic in (seed, index))."""
-    if index < 0:
-        raise DomainError(f"stream index must be >= 0, got {index}")
+    """Stream bit at `index` (deterministic in (seed, index)), 0 <= index < STREAM_BITS."""
+    _check_index(index)
     digest = _block(source.seed, index >> 8)
     byte = digest[(index & 255) >> 3]
     return (byte >> (7 - (index & 7))) & 1
 
 
 def bits_range(source: BroadcastSource, start: int, length: int) -> np.ndarray:
-    """Stream bits [start, start+length) as a uint8 array."""
-    if start < 0:
-        raise DomainError(f"stream index must be >= 0, got {start}")
+    """Stream bits [start, start+length) as a uint8 array, within [0, STREAM_BITS)."""
+    _check_index(start)
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
+    _check_index(start + length - 1)
     first = start >> 8
     last = (start + length - 1) >> 8
     raw = b"".join(_block(source.seed, b) for b in range(first, last + 1))

@@ -279,12 +279,19 @@ def _link(p):
 
 
 def _check_sync_window(p):
-    """The sync ladder resolves an offset only inside +-sync_t_max_ns/2."""
+    """The sync ladder resolves an offset only inside +-sync_t_max_ns/2, and
+    only to sync_t_max_ns/2^sync_n_bits, which must stay below half a bit period."""
     gap = p["offset_b_ns"] - p["offset_a_ns"]
     if not abs(gap) < p["sync_t_max_ns"] / 2:
         raise ConfigError(
             f"offset_b_ns - offset_a_ns = {gap} ns is outside the sync window "
             f"+-sync_t_max_ns/2 = +-{p['sync_t_max_ns'] / 2} ns"
+        )
+    step_ns = p["sync_t_max_ns"] / 2 ** p["sync_n_bits"]
+    if not step_ns * p["bitrate"] < 1e9 / 2:  # a product: bitrate <= 0 is left to BroadcastSource
+        raise ConfigError(
+            f"sync_t_max_ns / 2^sync_n_bits = {step_ns} ns is not below half the bit "
+            f"period 1e9 / bitrate / 2 = {1e9 / 2 / p['bitrate']} ns"
         )
 
 

@@ -19,6 +19,7 @@ what the perfect-square test in `splitting_degree` and the root test use.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .numtheory import is_probable_prime, primes_up_to, smallest_prime_factors
 _ODD_SAMPLE_CAP = 32
 MAX_SCAN = 10**6  # largest prime bound of a parity scan and length of a parity stream
 MAX_TABLE_PRIME = 1 << 22  # largest p for the O(p) tables (a few int64 arrays of length p)
+_ZETA_MEMO = 64  # coefficient sequences kept by `zeta_coefficients`
 
 
 @dataclass(frozen=True)
@@ -205,9 +207,21 @@ def prime_coefficient(curve: Curve, p: int) -> int:
 def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
     """a(1..m): a(p) from the curve, prime powers by the standard recursion
     a(p^k) = a(p) a(p^(k-1)) - p a(p^(k-2)) at good primes (a(p)^k at bad
-    ones), multiplicativity everywhere else."""
+    ones), multiplicativity everywhere else.
+
+    Each sequence is computed once per process and shared: `values` is a
+    read-only array (copy it to change it). The memo keeps the last
+    `_ZETA_MEMO` = 64 sequences; at the coin-flip cap m <= 2^16 that is at
+    most 64 * 2^16 * 8 B = 32 MB.
+    """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
+    return ZetaCoeffs(m, _zeta_values(curve.a, curve.b, m))
+
+
+@functools.lru_cache(maxsize=_ZETA_MEMO)
+def _zeta_values(a: int, b: int, m: int) -> np.ndarray:
+    curve = Curve(a, b)
     values = np.zeros(m + 1, dtype=np.int64)
     values[1] = 1
     spf = smallest_prime_factors(m)
@@ -235,7 +249,8 @@ def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
             rest //= p
         if rest > 1:
             values[n] = values[q] * values[rest]
-    return ZetaCoeffs(m, values[1:])
+    values.flags.writeable = False
+    return values[1:]
 
 
 # -- parity densities  ---------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from qkeylab.errors import DomainError
 from qkeylab.clocksync import Clock
 from qkeylab.broadcast import (
+    STREAM_BITS,
     BroadcastSource,
     KeyWindow,
     Receiver,
@@ -41,6 +42,16 @@ class TestStreamBits:
             bit_at(SOURCE, -1)
         with pytest.raises(DomainError):
             bits_range(SOURCE, -5, 3)
+
+    def test_stream_end(self):
+        last = STREAM_BITS - 1
+        assert bits_range(SOURCE, last - 3, 4)[-1] == bit_at(SOURCE, last)
+        with pytest.raises(DomainError):
+            bit_at(SOURCE, STREAM_BITS)
+        with pytest.raises(DomainError):
+            bits_range(SOURCE, last - 2, 4)
+        with pytest.raises(DomainError):
+            bits_range(SOURCE, STREAM_BITS, 4)
 
     def test_ones_fraction_over_million_bit_prefix(self):
         ones = int(bits_range(SOURCE, 0, 1_000_000).sum())

@@ -271,17 +271,21 @@ STREAM_CAP_CASES = [
 GEOMETRY_CASES = [
     ["pqdh", "--sessions", "1", "--distance-a-m", "1e300"],
     ["pqdh", "--sessions", "1", "--distance-b-m", "1e300"],
-    ["private", "--sessions", "1", "--bitrate", "1e300"],
+    ["private", "--sessions", "1", "--distance-b-m", "1e300"],
     ["pqdh", "--sessions", "1", "--bitrate", "1e-300"],
-    ["pqdh", "--sessions", "1", "--sync-t-max-ns", "1e300"],
 ]
-# Sync windows and challenge ranges with no room: the message names the key.
+# Sync windows, sync ladders too coarse for the bitrate and challenge ranges
+# with no room: the message names every key involved.
+SYNC_LADDER_KEYS = ("sync_t_max_ns", "sync_n_bits", "bitrate")
 KEY_NAMED_CASES = [
-    (["pqdh", "--sync-t-max-ns", "0"], "sync_t_max_ns"),
-    (["private", "--offset-b-ns", "1e7"], "offset_b_ns"),
-    (["coinflip", "--challenge-factor", "0"], "challenge_factor"),
-    (["clocksync", "--t-max-ns", "0"], "t_max_ns"),
-    (["clocksync", "--delta-span", "0.6"], "delta_span"),
+    (["pqdh", "--sync-t-max-ns", "0"], ("sync_t_max_ns",)),
+    (["private", "--offset-b-ns", "1e7"], ("offset_b_ns",)),
+    (["pqdh", "--sessions", "2", "--p-bits", "32", "--sync-t-max-ns", "1e20"], SYNC_LADDER_KEYS),
+    (["pqdh", "--sessions", "1", "--sync-t-max-ns", "1e300"], SYNC_LADDER_KEYS),
+    (["private", "--sessions", "1", "--bitrate", "1e300"], SYNC_LADDER_KEYS),
+    (["coinflip", "--challenge-factor", "0"], ("challenge_factor",)),
+    (["clocksync", "--t-max-ns", "0"], ("t_max_ns",)),
+    (["clocksync", "--delta-span", "0.6"], ("delta_span",)),
 ]
 
 
@@ -408,16 +412,16 @@ class TestInputContract:
         assert "config error: local time" in err and "stream position" in err
 
     @pytest.mark.parametrize(
-        "argv,key", KEY_NAMED_CASES, ids=[" ".join(argv) for argv, _ in KEY_NAMED_CASES]
+        "argv,keys", KEY_NAMED_CASES, ids=[" ".join(argv) for argv, _ in KEY_NAMED_CASES]
     )
-    def test_sync_window_and_challenge_range_name_the_key(self, argv, key, monkeypatch, capsys):
+    def test_sync_window_and_challenge_range_name_the_key(self, argv, keys, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("a trial started before the check")
 
         monkeypatch.setattr(cli, "_map_trials", refuse)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and key in err
+        assert err.startswith("config error: ") and all(key in err for key in keys)
 
     @pytest.mark.parametrize("a,b", [(str(10**20), "1"), ("-3", str(-(10**30) - 1))])
     def test_huge_curve_coefficients_give_a_report(self, a, b, capsys):

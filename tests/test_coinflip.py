@@ -158,6 +158,23 @@ class TestVerification:
         session.curve = other
         assert not bob_verify(session).ok
 
+    def test_tampering_detected_while_the_honest_sequence_is_memoized(self):
+        session = self.honest_session()
+        curve, honest = session.curve, session.commitment.values
+        assert zeta_coefficients(curve, session.m).values is honest  # served from the memo
+        doctored = honest.copy()
+        doctored[17] += 2
+        session.commitment = dataclasses.replace(session.commitment, values=doctored)
+        assert bob_verify(session).first_mismatch == 18
+        session.commitment = dataclasses.replace(session.commitment, values=honest)
+        assert bob_verify(session).ok
+        # The mirror curve shares the discriminant and degree, not the sequence.
+        session.curve = Curve(curve.a, -curve.b)
+        result = bob_verify(session)
+        assert result.failure == "commitment coefficient mismatch"
+        session.curve = curve
+        assert bob_verify(session).ok
+
     def test_tampered_trial_parity_rejected(self):
         session = self.honest_session()
         trial = session.rounds[-1]

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from qkeylab.errors import DomainError
-from qkeylab.numtheory import is_probable_prime, primes_up_to
+from qkeylab import numtheory
+from qkeylab.numtheory import is_probable_prime, primes_up_to, smallest_prime_factors
 from qkeylab.ecurve import (
+    _ZETA_MEMO,
+    _zeta_values,
     Curve,
     count_points,
     frobenius_trace,
@@ -138,6 +141,17 @@ class TestSplittingDegree:
             checked += 1
 
 
+def sample_curves(count=10):
+    """`count` seeded nonsingular curves with |a|, |b| <= 10."""
+    rng = np.random.default_rng(8)
+    curves = []
+    while len(curves) < count:
+        a, b = int(rng.integers(-10, 11)), int(rng.integers(-10, 11))
+        if 4 * a**3 + 27 * b**2 != 0:
+            curves.append(Curve(a, b))
+    return curves
+
+
 class TestZetaCoefficients:
     def test_normalization(self):
         assert zeta_coefficients(Curve(1, 1), 1).a(1) == 1
@@ -173,17 +187,28 @@ class TestZetaCoefficients:
                 value *= term
             return value
 
-        rng = np.random.default_rng(8)
-        checked = 0
-        while checked < 10:
-            a, b = int(rng.integers(-10, 11)), int(rng.integers(-10, 11))
-            if 4 * a**3 + 27 * b**2 == 0:
-                continue
-            curve = Curve(a, b)
+        for curve in sample_curves():
             seq = zeta_coefficients(curve, 200)
             for n in range(1, 201):
-                assert seq.a(n) == direct(curve, n), (a, b, n)
-            checked += 1
+                assert seq.a(n) == direct(curve, n), (curve, n)
+
+    def test_values_are_read_only(self):
+        seq = zeta_coefficients(Curve(1, 1), 30)
+        with pytest.raises(ValueError):
+            seq.values[3] = 0
+
+    def test_memo_equals_uncached_computation(self):
+        _zeta_values.cache_clear()
+        for curve in sample_curves():
+            for m in (1, 200):
+                memo = zeta_coefficients(curve, m).values
+                assert np.array_equal(memo, _zeta_values.__wrapped__(curve.a, curve.b, m))
+                assert zeta_coefficients(curve, m).values is memo
+
+    def test_memo_stays_bounded(self):
+        for m in range(1, _ZETA_MEMO + 20):
+            zeta_coefficients(Curve(1, 1), m)
+        assert _zeta_values.cache_info().currsize <= _ZETA_MEMO
 
     def test_hasse_bound_at_good_primes(self):
         curve = Curve(-2, 5)
@@ -286,6 +311,17 @@ class TestPrimality:
         # base up to 37 (Sorenson-Webster psi_12); base 41 exposes it.
         assert not is_probable_prime(318665857834031151167461)
         assert is_probable_prime(2**89 - 1)
+
+    def test_smallest_prime_factors_across_growth(self, monkeypatch):
+        def trial_division(n):
+            return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+        expected = [0, 0] + [trial_division(n) for n in range(2, 5001)]
+        monkeypatch.setattr(numtheory, "_spf_cache", {"limit": 0, "spf": np.zeros(1, np.int64)})
+        for bound in (100, 5000, 300):
+            spf = smallest_prime_factors(bound)
+            assert spf.tolist() == expected[: bound + 1]
+            assert not spf.flags.writeable
 
 
 class TestSmallPrimeCoefficients:
