@@ -42,7 +42,10 @@ ENV_MASTER_SEED = "QKEYLAB_MASTER_SEED"
 DEFAULT_MASTER_SEED = 12345
 MAX_WORKERS = 64
 _MAX_SYNC_BITS = 52  # a double resolves no finer rung of the offset ladder
-_MAX_VERTICES = 1 << 16  # walk graphs hold Python adjacency tuples per vertex
+# The eve-qwalk key space at depth 16; walk time grows as N^1.5 (about 20 s
+# there on a 2-core VM).
+_MAX_VERTICES = 1 << 16
+_MAX_SEARCH_TRIALS = 1 << 22  # qwalk-search draws its samples as one int64 array
 
 _REQUIRED = object()
 
@@ -679,9 +682,9 @@ SCENARIOS: dict = {
             "graph": FieldSpec(str, "torus", "torus, cycle or tree", choices=tuple(_WALK_GRAPHS)),
             "n": FieldSpec(int, 16, "vertex count (torus/cycle)", 3, _MAX_VERTICES),
             "depth": FieldSpec(int, 3, "tree depth (tree)", 1, 15),
-            "t": FieldSpec(int, -1, "walk steps (<0: 4*sqrt(N log2 N))"),
+            "t": FieldSpec(int, -1, "walk steps (<0: 4*sqrt(N log2 N))", None, qwalk.MAX_WALK_STEPS),
             "marked": FieldSpec(int, -1, "marked vertex (<0: seeded choice)"),
-            "trials": FieldSpec(int, 2000, "sampled measurements", 1),
+            "trials": FieldSpec(int, 2000, "sampled measurements", 1, _MAX_SEARCH_TRIALS),
         },
         _run_qwalk_search,
     ),

@@ -46,31 +46,11 @@ class Clock:
 
 
 @dataclass(frozen=True)
-class TickingQubit:
-    """A qubit precessing at a fixed angular rate since its emission."""
-
-    frequency_rad_per_ns: float
-    emission_time_ns: float = 0.0
-
-    def __post_init__(self):
-        if not self.frequency_rad_per_ns > 0:
-            raise DomainError(f"frequency must be positive, got {self.frequency_rad_per_ns}")
-
-
-@dataclass(frozen=True)
 class SyncResult:
     delta_estimate_ns: float
     bits_resolved: int
     qubits_used: int
     shots_per_bit: int
-
-
-def phase_at(qubit: TickingQubit, local_time_ns: float) -> float:
-    """Accumulated phase of a ticking qubit at `local_time_ns`, reduced mod 2*pi."""
-    elapsed = local_time_ns - qubit.emission_time_ns
-    if elapsed < 0:
-        raise DomainError(f"observation {elapsed} ns before emission")
-    return (qubit.frequency_rad_per_ns * elapsed) % TWO_PI
 
 
 def _quadrature_p1(phi: float, extra_phase: float) -> float:
@@ -120,8 +100,7 @@ def ticking_qubit_sync(
         )
     delta_est = 0.0
     for k in range(n_bits):
-        qubit = TickingQubit(frequency_rad_per_ns=TWO_PI * (1 << k) / t_max_ns)
-        phi = qubit.frequency_rad_per_ns * true_delta_ns
+        phi = TWO_PI * (1 << k) / t_max_ns * true_delta_ns
         turns = _estimate_turns(phi, shots_per_bit, rng)
         modulus = t_max_ns / (1 << k)
         residue = turns * modulus

@@ -167,12 +167,6 @@ def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
     return StateVector(state.n_qubits, amps)
 
 
-def apply_gates(state: StateVector, gates) -> StateVector:
-    for gate in gates:
-        state = apply_gate(state, gate)
-    return state
-
-
 def measurement_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
     """Born-rule probabilities (p0, p1) for measuring `qubit`."""
     _check_targets(state, (qubit,))

@@ -28,50 +28,73 @@ from .broadcast import (
     extract_key,
 )
 from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .keyexchange import run_clock_sync, teleport_secret_int
 from .transcript import Transcript, text_payload
 
+# The most steps a walk may take: sweep_step_cap(2**16, 16.0), the largest
+# cap the sweep and the keyspace attack can ask for.
+MAX_WALK_STEPS = 1 << 14
+
 
 class Graph:
-    """Undirected graph with binary vertex marks and a precomputed arc table."""
+    """Undirected graph held as one arc table, with binary vertex marks.
 
-    def __init__(self, kind: str, adjacency, marked=()):
-        self.kind = kind
-        self.adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
-        self.n_vertices = len(self.adjacency)
-        self.marked = frozenset(int(v) for v in marked)
-        for v, nbrs in enumerate(self.adjacency):
-            if len(set(nbrs)) != len(nbrs) or v in nbrs:
-                raise DomainError(f"vertex {v}: self-loop or parallel edge")
-            for u in nbrs:
-                if not 0 <= u < self.n_vertices:
-                    raise DomainError(f"vertex {v}: neighbor {u} out of range")
-                if v not in self.adjacency[u]:
-                    raise DomainError(f"edge {v}->{u} has no reverse")
-        for v in self.marked:
-            if not 0 <= v < self.n_vertices:
-                raise DomainError(f"marked vertex {v} out of range")
-        degrees = np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
+    Arc i runs from arc_tail[i] to arc_head[i]. The arcs are grouped by tail
+    in vertex order, and each vertex's arcs keep its neighbor order, which
+    fixes the order in which the coin sums a block. Every edge is listed once
+    in each direction; arc_reversal maps each arc to its reverse.
+    """
+
+    def __init__(self, n_vertices: int, arc_tail, arc_head, marked=()):
+        n = int(n_vertices)
+        tail = np.asarray(arc_tail, dtype=np.int64)
+        head = np.asarray(arc_head, dtype=np.int64)
+        outside = np.flatnonzero((tail < 0) | (tail >= n) | (head < 0) | (head >= n))
+        if outside.size:
+            i = outside[0]
+            raise DomainError(f"arc {tail[i]}->{head[i]}: vertex out of range")
+        if np.any(tail[1:] < tail[:-1]):
+            raise DomainError("arcs are not grouped by tail")
+        loops = np.flatnonzero(tail == head)
+        if loops.size:
+            raise DomainError(f"vertex {tail[loops[0]]}: self-loop")
+        degrees = np.bincount(tail, minlength=n)
         if degrees.min(initial=1) < 1:
-            raise DomainError("isolated vertex")
+            raise DomainError(f"vertex {np.argmin(degrees)} is isolated")
+        # Arc u->v has key u*n + v; its reverse is the arc whose key is v*n + u.
+        keys = tail * n + head
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        parallel = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+        if parallel.size:
+            raise DomainError(f"vertex {sorted_keys[parallel[0]] // n}: parallel edge")
+        reverse_keys = head * n + tail
+        found = np.minimum(np.searchsorted(sorted_keys, reverse_keys), tail.size - 1)
+        missing = np.flatnonzero(sorted_keys[found] != reverse_keys)
+        if missing.size:
+            i = missing[0]
+            raise DomainError(f"edge {tail[i]}->{head[i]} has no reverse")
+        self.marked = frozenset(int(v) for v in marked)
+        for v in self.marked:
+            if not 0 <= v < n:
+                raise DomainError(f"marked vertex {v} out of range")
+        self.n_vertices = n
+        self.n_arcs = int(tail.size)
+        self.arc_tail = tail
+        self.arc_head = head
         self.arc_degrees = degrees
         self.arc_offsets = np.concatenate(([0], np.cumsum(degrees)[:-1]))
-        self.n_arcs = int(degrees.sum())
-        tails = np.repeat(np.arange(self.n_vertices), degrees)
-        self.arc_tail = tails
-        reversal = np.empty(self.n_arcs, dtype=np.int64)
-        for v, nbrs in enumerate(self.adjacency):
-            for j, u in enumerate(nbrs):
-                reversal[self.arc_offsets[v] + j] = self.arc_offsets[u] + self.adjacency[u].index(v)
-        self.arc_reversal = reversal
+        self.arc_reversal = order[found]
 
 
 def cycle_graph(n: int, marked=()) -> Graph:
+    """n-cycle; neighbor order +1, -1."""
     if n < 3:
         raise DomainError(f"cycle needs >= 3 vertices, got {n}")
-    adjacency = [((v + 1) % n, (v - 1) % n) for v in range(n)]
-    return Graph("cycle", adjacency, marked)
+    v = np.arange(n)
+    heads = np.stack(((v + 1) % n, (v - 1) % n), axis=1)
+    return Graph(n, np.repeat(v, 2), heads.ravel(), marked)
 
 
 def torus_graph(n: int, marked=()) -> Graph:
@@ -81,34 +104,29 @@ def torus_graph(n: int, marked=()) -> Graph:
         raise DomainError(f"torus needs a perfect-square vertex count, got {n}")
     if side < 3:
         raise DomainError(f"torus side must be >= 3, got {side}")
-    adjacency = []
-    for v in range(n):
-        y, x = divmod(v, side)
-        adjacency.append(
-            (
-                y * side + (x + 1) % side,
-                y * side + (x - 1) % side,
-                ((y + 1) % side) * side + x,
-                ((y - 1) % side) * side + x,
-            )
-        )
-    return Graph("torus", adjacency, marked)
+    v = np.arange(n)
+    row = v - v % side
+    heads = np.stack(
+        (row + (v + 1) % side, row + (v - 1) % side, (v + side) % n, (v - side) % n), axis=1
+    )
+    return Graph(n, np.repeat(v, 4), heads.ravel(), marked)
 
 
 def binary_tree_graph(depth: int, marked=()) -> Graph:
-    """Full binary tree with 2^(depth+1) - 1 vertices, root 0."""
+    """Full binary tree with 2^(depth+1) - 1 vertices, root 0; neighbor
+    order parent, left child, right child."""
     if depth < 1:
         raise DomainError(f"tree depth must be >= 1, got {depth}")
     n = (1 << (depth + 1)) - 1
-    adjacency = []
-    for v in range(n):
-        nbrs = []
-        if v > 0:
-            nbrs.append((v - 1) // 2)
-        if 2 * v + 1 < n:
-            nbrs.extend((2 * v + 1, 2 * v + 2))
-        adjacency.append(tuple(nbrs))
-    return Graph("binary_tree", adjacency, marked)
+    child = np.arange(1, n)
+    parent = (child - 1) // 2
+    # The child lists its parent in slot 0; the parent lists the left child
+    # (odd index) in slot 1 and the right child (even index) in slot 2.
+    tail = np.concatenate((child, parent))
+    head = np.concatenate((parent, child))
+    slot = np.concatenate((np.zeros_like(child), 2 - child % 2))
+    order = np.lexsort((slot, tail))
+    return Graph(n, tail[order], head[order], marked)
 
 
 @dataclass(frozen=True)
@@ -140,12 +158,9 @@ class WalkOperator:
 
 def marked_walk(graph: Graph) -> WalkOperator:
     degrees_per_arc = np.repeat(graph.arc_degrees, graph.arc_degrees)
-    marked = np.zeros(graph.n_vertices, dtype=bool)
-    for v in graph.marked:
-        marked[v] = True
     return WalkOperator(
         coin_factor=2.0 / degrees_per_arc,
-        marked_mask=marked[graph.arc_tail],
+        marked_mask=np.isin(graph.arc_tail, list(graph.marked)),
         shift_perm=graph.arc_reversal,
     )
 
@@ -171,21 +186,21 @@ def step(state: CoinedWalkState, graph: Graph, operator: WalkOperator) -> Coined
     return CoinedWalkState(coined[operator.shift_perm])
 
 
-def step_inverse(state: CoinedWalkState, graph: Graph, operator: WalkOperator) -> CoinedWalkState:
-    """Inverse step (coin and shift are involutions, so: shift then coin)."""
-    amps = state.amplitudes
-    if amps.shape != (graph.n_arcs,):
-        raise DomainError(f"state has {amps.shape} amplitudes, graph has {graph.n_arcs} arcs")
-    return CoinedWalkState(_apply_coin(amps[operator.shift_perm], graph, operator))
-
-
 def position_probabilities(state: CoinedWalkState, graph: Graph) -> np.ndarray:
     weights = np.abs(state.amplitudes) ** 2
     return np.add.reduceat(weights, graph.arc_offsets)
 
 
+def _check_steps(t_steps: int) -> None:
+    if t_steps < 0:
+        raise DomainError(f"step count must be >= 0, got {t_steps}")
+    if t_steps > MAX_WALK_STEPS:
+        raise ResourceError(f"{t_steps} walk steps exceed the cap {MAX_WALK_STEPS}")
+
+
 def walk_distribution(graph: Graph, t_steps: int) -> np.ndarray:
     """Vertex probabilities after t_steps of the marked walk from the uniform state."""
+    _check_steps(t_steps)
     operator = marked_walk(graph)
     state = uniform_superposition(graph)
     for _ in range(t_steps):
@@ -205,8 +220,6 @@ def search(graph: Graph, t_steps: int, rng: np.random.Generator) -> SearchResult
     """Run t_steps of the marked walk from the uniform state, then measure."""
     if not graph.marked:
         raise DomainError("search needs at least one marked vertex")
-    if t_steps < 0:
-        raise DomainError(f"step count must be >= 0, got {t_steps}")
     probs = walk_distribution(graph, t_steps)
     exact = float(probs[sorted(graph.marked)].sum())
     probs = np.clip(probs.real, 0.0, None)
@@ -223,6 +236,7 @@ def success_probability_trace(graph: Graph, t_limit: int) -> np.ndarray:
     """Exact success probability after t = 0..t_limit steps (no sampling)."""
     if not graph.marked:
         raise DomainError("trace needs at least one marked vertex")
+    _check_steps(t_limit)
     operator = marked_walk(graph)
     state = uniform_superposition(graph)
     marked = sorted(graph.marked)

@@ -246,6 +246,10 @@ CONTRACT_CASES = [
 ]
 
 # Inputs past a size cap: each must exit 2 before the work it would start.
+WALK_CAP_CASES = [
+    ["qwalk-search", "--trials", "1000000000000"],
+    ["qwalk-search", "--t", "100000000"],
+]
 CAP_CASES = [
     ["density", "--a", "0", "--b", "-2", "--x", str(ecurve.MAX_SCAN + 1)],
     ["prng", "--bits", str(ecurve.MAX_SCAN + 1)],
@@ -253,6 +257,7 @@ CAP_CASES = [
     ["coinflip", "--k", "1000000"],
     ["coinflip", "--b", str(10**400)],
     ["coinflip", "--challenge-factor", "100000"],
+    *WALK_CAP_CASES,
 ]
 
 # Sizes past a cap and geometries that place a window nowhere on the stream:
@@ -385,6 +390,7 @@ class TestInputContract:
             (ecurve, "primes_up_to"),
             (coinflip, "primes_up_to"),
             (coinflip, "zeta_coefficients"),
+            (qwalk, "walk_distribution"),
         ):
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 2
@@ -446,7 +452,7 @@ PERTURBATIONS = ("", "abc", "0x10", "0", "-1", "nan", "inf")
 # Past every size and geometry a config may hold; counts are left alone,
 # because a huge count is a long run, not a bad input.
 SIZE_PERTURBATIONS = (HUGE, "1e300", "1e-300")
-COUNT_FIELDS = ("trials", "sessions", "instances", "max_rounds", "t")
+COUNT_FIELDS = ("trials", "sessions", "instances", "max_rounds")
 
 
 @st.composite
@@ -510,7 +516,7 @@ def test_cli_process_never_prints_traceback():
         (["dh", "--p", "abc"], None, 2),
         (["dh"], "xyz", 2),
         (["teleport-demo", "--trials", "0"], None, 2),
-        *((argv, None, 2) for argv in STREAM_CAP_CASES + GEOMETRY_CASES),
+        *((argv, None, 2) for argv in STREAM_CAP_CASES + GEOMETRY_CASES + WALK_CAP_CASES),
     ]:
         proc_env = env if env_seed is None else {**env, ENV_MASTER_SEED: env_seed}
         proc = subprocess.run(

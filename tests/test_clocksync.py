@@ -7,31 +7,10 @@ from qkeylab.errors import DomainError
 from qkeylab.clocksync import (
     Clock,
     SyncResult,
-    TickingQubit,
-    phase_at,
     ticking_qubit_sync,
 )
 
 T_MAX = 1.6384e6  # ns
-
-
-class TestPhaseAt:
-    def test_half_turn(self):
-        q = TickingQubit(frequency_rad_per_ns=math.pi)
-        assert phase_at(q, 1.0) == pytest.approx(math.pi)
-
-    def test_full_turn_wraps(self):
-        q = TickingQubit(frequency_rad_per_ns=math.pi)
-        assert phase_at(q, 2.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_negative_elapsed_rejected(self):
-        q = TickingQubit(frequency_rad_per_ns=math.pi, emission_time_ns=5.0)
-        with pytest.raises(DomainError):
-            phase_at(q, 4.0)
-
-    def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(DomainError):
-            TickingQubit(frequency_rad_per_ns=0.0)
 
 
 class TestTickingQubitSync:

@@ -7,7 +7,6 @@ from qkeylab.qstate import (
     GateSpec,
     StateVector,
     apply_gate,
-    apply_gates,
     fidelity,
     measure_qubit,
     measurement_probabilities,
@@ -147,9 +146,9 @@ class TestMeasurement:
         # Brute-force view of the 4-dim state: only |00> and |11> carry weight,
         # so the two measurements must always agree.
         rng = np.random.default_rng(5)
-        bell = apply_gates(
-            new_basis_state(2, 0), [qstate.h(0), qstate.cnot(0, 1)]
-        )
+        bell = new_basis_state(2, 0)
+        for gate in (qstate.h(0), qstate.cnot(0, 1)):
+            bell = apply_gate(bell, gate)
         np.testing.assert_allclose(np.abs(bell.amplitudes) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
         for _ in range(200):
             first, collapsed = measure_qubit(bell, 0, rng)

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkeylab.errors import DomainError
+from qkeylab import qwalk
+from qkeylab.errors import DomainError, ResourceError
 from qkeylab.clocksync import Clock
 from qkeylab.broadcast import BroadcastSource, KeyWindow, Receiver
 from qkeylab.transcript import int_payload
 from qkeylab.qwalk import (
+    MAX_WALK_STEPS,
     CoinedWalkState,
+    Graph,
     binary_tree_graph,
     cycle_graph,
     keyspace_grid_attack,
@@ -20,7 +23,6 @@ from qkeylab.qwalk import (
     scaling_sweep,
     search,
     step,
-    step_inverse,
     success_probability_trace,
     sweep_step_cap,
     torus_graph,
@@ -41,13 +43,17 @@ def localized_state(graph, vertex):
     return CoinedWalkState(amps)
 
 
+def neighbors(graph, v):
+    return graph.arc_head[graph.arc_tail == v].tolist()
+
+
 def bfs_distances(graph, origin):
     dist = {origin: 0}
     frontier = [origin]
     while frontier:
         nxt = []
         for v in frontier:
-            for u in graph.adjacency[v]:
+            for u in neighbors(graph, v):
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     nxt.append(u)
@@ -70,16 +76,112 @@ def dense_step_matrix(graph, marked):
     return shift @ coin
 
 
+# The tuple-built construction the arc table replaced: per-vertex neighbor
+# tuples, and each arc's reversal found with tuple.index.
+
+
+def cycle_adjacency(n):
+    return [((v + 1) % n, (v - 1) % n) for v in range(n)]
+
+
+def torus_adjacency(n):
+    side = math.isqrt(n)
+    adjacency = []
+    for v in range(n):
+        y, x = divmod(v, side)
+        adjacency.append(
+            (
+                y * side + (x + 1) % side,
+                y * side + (x - 1) % side,
+                ((y + 1) % side) * side + x,
+                ((y - 1) % side) * side + x,
+            )
+        )
+    return adjacency
+
+
+def tree_adjacency(depth):
+    n = (1 << (depth + 1)) - 1
+    adjacency = []
+    for v in range(n):
+        nbrs = []
+        if v > 0:
+            nbrs.append((v - 1) // 2)
+        if 2 * v + 1 < n:
+            nbrs.extend((2 * v + 1, 2 * v + 2))
+        adjacency.append(tuple(nbrs))
+    return adjacency
+
+
+def tuple_arc_table(adjacency):
+    """(tail, head, offsets, degrees, reversal) of the tuple construction."""
+    degrees = np.array([len(nbrs) for nbrs in adjacency], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(degrees)[:-1]))
+    tail = np.repeat(np.arange(len(adjacency)), degrees)
+    head = np.array([u for nbrs in adjacency for u in nbrs], dtype=np.int64)
+    reversal = np.empty(int(degrees.sum()), dtype=np.int64)
+    for v, nbrs in enumerate(adjacency):
+        for j, u in enumerate(nbrs):
+            reversal[offsets[v] + j] = offsets[u] + adjacency[u].index(v)
+    return tail, head, offsets, degrees, reversal
+
+
+ORACLE_CASES = (
+    [(cycle_graph, cycle_adjacency, n) for n in range(3, 41)]
+    + [(torus_graph, torus_adjacency, side * side) for side in range(3, 13)]
+    + [(binary_tree_graph, tree_adjacency, depth) for depth in range(1, 9)]
+)
+
+# One fault each, in a table that is otherwise a valid 3-cycle.
+TRIANGLE_TAIL = [0, 0, 1, 1, 2, 2]
+TRIANGLE_HEAD = [1, 2, 2, 0, 0, 1]
+BAD_ARC_TABLES = [
+    ("out of range", 3, TRIANGLE_TAIL, [1, 3, 2, 0, 0, 1], ()),
+    ("self-loop", 3, TRIANGLE_TAIL, [1, 0, 2, 0, 0, 1], ()),
+    ("parallel edge", 3, [0, 0, 0, 1, 1, 2, 2], [1, 1, 2, 2, 0, 0, 1], ()),
+    ("no reverse", 3, [0, 0, 1, 2, 2], [1, 2, 2, 0, 1], ()),
+    ("isolated", 4, TRIANGLE_TAIL, TRIANGLE_HEAD, ()),
+    ("marked vertex 3 out of range", 3, TRIANGLE_TAIL, TRIANGLE_HEAD, {3}),
+    ("not grouped by tail", 3, [0, 1, 0, 1, 2, 2], [1, 2, 2, 0, 0, 1], ()),
+]
+
+
 class TestGraphs:
     def test_cycle_structure(self):
         g = cycle_graph(5)
         assert g.n_vertices == 5 and g.n_arcs == 10
-        assert g.adjacency[0] == (1, 4)
+        assert neighbors(g, 0) == [1, 4]
 
     def test_torus_structure(self):
         g = torus_graph(16)
         assert g.n_vertices == 16 and g.n_arcs == 64
-        assert set(g.adjacency[0]) == {1, 3, 4, 12}
+        assert neighbors(g, 0) == [1, 3, 4, 12]
+
+    @pytest.mark.parametrize(
+        "build,adjacency,size",
+        ORACLE_CASES,
+        ids=[f"{build.__name__}-{size}" for build, _, size in ORACLE_CASES],
+    )
+    def test_arc_table_equals_tuple_construction(self, build, adjacency, size):
+        g = build(size)
+        tail, head, offsets, degrees, reversal = tuple_arc_table(adjacency(size))
+        assert g.n_vertices == len(degrees) and g.n_arcs == len(tail)
+        for got, want in (
+            (g.arc_tail, tail),
+            (g.arc_head, head),
+            (g.arc_offsets, offsets),
+            (g.arc_degrees, degrees),
+            (g.arc_reversal, reversal),
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "message,n,tail,head,marked", BAD_ARC_TABLES, ids=[case[0] for case in BAD_ARC_TABLES]
+    )
+    def test_bad_arc_table_rejected(self, message, n, tail, head, marked):
+        Graph(3, TRIANGLE_TAIL, TRIANGLE_HEAD, {2})
+        with pytest.raises(DomainError, match=message):
+            Graph(n, tail, head, marked)
 
     def test_tree_structure(self):
         g = binary_tree_graph(3)
@@ -155,8 +257,9 @@ class TestStep:
         op = marked_walk(g)
         raw = rng.normal(size=g.n_arcs) + 1j * rng.normal(size=g.n_arcs)
         state = CoinedWalkState(raw / np.linalg.norm(raw))
-        back = step_inverse(step(state, g, op), g, op)
-        np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-12)
+        inverse = dense_step_matrix(g, {3}).conj().T
+        back = inverse @ step(state, g, op).amplitudes
+        np.testing.assert_allclose(back, state.amplitudes, atol=1e-12)
 
     def test_unmarked_walk_fixes_uniform_state(self):
         # With no marks the coin fixes each uniform block and the shift
@@ -169,7 +272,7 @@ class TestStep:
             for _ in range(5):
                 state = step(state, g, op)
             np.testing.assert_allclose(state.amplitudes, start.amplitudes, atol=1e-9)
-            if g.kind != "binary_tree":
+            if np.all(g.arc_degrees == g.arc_degrees[0]):  # regular graphs only
                 np.testing.assert_allclose(
                     position_probabilities(state, g),
                     np.full(g.n_vertices, 1 / g.n_vertices),
@@ -340,3 +443,25 @@ class TestWalkDistribution:
         assert probs[9] == pytest.approx(success_probability_trace(g, 12)[12], abs=1e-15)
         result = search(g, 12, np.random.default_rng(3))
         assert result.exact_success_probability == float(probs[[9]].sum())
+
+    def test_step_cap_is_the_largest_sweep_cap(self):
+        assert MAX_WALK_STEPS == sweep_step_cap(2**16, 16.0)
+        g = cycle_graph(5, marked={1})
+        assert walk_distribution(g, MAX_WALK_STEPS).sum() == pytest.approx(1.0)
+        assert success_probability_trace(g, MAX_WALK_STEPS).shape == (MAX_WALK_STEPS + 1,)
+
+    def test_step_cap_fires_before_any_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a walk step ran past the cap")
+
+        monkeypatch.setattr(qwalk, "step", refuse)
+        g = cycle_graph(5, marked={1})
+        with pytest.raises(ResourceError, match="cap"):
+            walk_distribution(g, MAX_WALK_STEPS + 1)
+        with pytest.raises(ResourceError, match="cap"):
+            success_probability_trace(g, MAX_WALK_STEPS + 1)
+        with pytest.raises(ResourceError, match="cap"):
+            search(g, MAX_WALK_STEPS + 1, np.random.default_rng(1))
+        for walk in (walk_distribution, success_probability_trace):
+            with pytest.raises(DomainError, match=">= 0"):
+                walk(g, -1)
