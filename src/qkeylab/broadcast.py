@@ -245,12 +245,15 @@ def eve_recover(
     """
     window = view.window if window is None else window
     start = reception_index(source, receiver, window.start_local_time_ns)
-    targets = np.arange(start, start + window.length, dtype=np.int64)
-    hit = np.isin(targets, view.stored_indices)
-    known = int(hit.sum())
+    # stored_indices is sorted and unique, so the window's stored bits are
+    # one contiguous run of it.
+    stored = view.stored_indices
+    lo, hi = np.searchsorted(stored, (start, start + window.length))
+    positions = stored[lo:hi] - start
+    known = int(positions.size)
     recovered = np.full(window.length, -1, dtype=np.int8)
     if known:
-        recovered[hit] = bits_range(source, start, window.length)[hit]
+        recovered[positions] = bits_range(source, start, window.length)[positions]
     return EveRecovery(
         known_bits=known,
         guess_success_probability=2.0 ** -(window.length - known),

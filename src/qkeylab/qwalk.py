@@ -8,6 +8,11 @@ d * N. One step applies the coin - the degree-d diffusion operator
 shift, which moves each arc onto its reversal. Both factors are involutions,
 so the inverse step is shift-then-coin.
 
+`walk_distribution` and `success_probability_trace` share one walk loop on
+plain amplitude arrays: the state is validated on entry and on exit, not at
+each step, and the trace reads only the marked vertices' arcs at each step.
+`step` is the validated single step that the loop is tested against.
+
 On a torus grid with a single marked vertex this walk finds the mark in
 O(sqrt(N log N)) steps with success probability Omega(1/log N); the
 `scaling_sweep` measures exactly that, and `keyspace_grid_attack` replays it
@@ -151,16 +156,15 @@ class WalkOperator:
     marked blocks. shift: the flip-flop arc reversal permutation.
     """
 
-    coin_factor: np.ndarray  # per-arc 2/deg(tail)
-    marked_mask: np.ndarray  # per-arc: tail vertex is marked
+    coin_factor: np.ndarray  # per-vertex 2/deg(v)
+    marked_arcs: np.ndarray  # arcs whose tail is marked, in arc order
     shift_perm: np.ndarray  # arc reversal
 
 
 def marked_walk(graph: Graph) -> WalkOperator:
-    degrees_per_arc = np.repeat(graph.arc_degrees, graph.arc_degrees)
     return WalkOperator(
-        coin_factor=2.0 / degrees_per_arc,
-        marked_mask=np.isin(graph.arc_tail, list(graph.marked)),
+        coin_factor=2.0 / graph.arc_degrees,
+        marked_arcs=np.flatnonzero(np.isin(graph.arc_tail, list(graph.marked))),
         shift_perm=graph.arc_reversal,
     )
 
@@ -172,8 +176,9 @@ def uniform_superposition(graph: Graph) -> CoinedWalkState:
 
 def _apply_coin(amps: np.ndarray, graph: Graph, operator: WalkOperator) -> np.ndarray:
     block_sums = np.add.reduceat(amps, graph.arc_offsets)
-    coined = operator.coin_factor * np.repeat(block_sums, graph.arc_degrees) - amps
-    coined[operator.marked_mask] = -amps[operator.marked_mask]
+    coined = np.repeat(operator.coin_factor * block_sums, graph.arc_degrees)
+    coined -= amps
+    coined[operator.marked_arcs] = -amps[operator.marked_arcs]
     return coined
 
 
@@ -183,7 +188,7 @@ def step(state: CoinedWalkState, graph: Graph, operator: WalkOperator) -> Coined
     if amps.shape != (graph.n_arcs,):
         raise DomainError(f"state has {amps.shape} amplitudes, graph has {graph.n_arcs} arcs")
     coined = _apply_coin(amps, graph, operator)
-    return CoinedWalkState(coined[operator.shift_perm])
+    return CoinedWalkState(coined.take(operator.shift_perm))
 
 
 def position_probabilities(state: CoinedWalkState, graph: Graph) -> np.ndarray:
@@ -198,13 +203,32 @@ def _check_steps(t_steps: int) -> None:
         raise ResourceError(f"{t_steps} walk steps exceed the cap {MAX_WALK_STEPS}")
 
 
-def walk_distribution(graph: Graph, t_steps: int) -> np.ndarray:
-    """Vertex probabilities after t_steps of the marked walk from the uniform state."""
+def _walk(
+    graph: Graph, t_steps: int, watch_marked: bool = False
+) -> tuple[CoinedWalkState, np.ndarray]:
+    """t_steps of the marked walk from the uniform state.
+
+    Returns the final state and, with watch_marked, the amplitudes of the
+    marked vertices' arcs (in arc order) at t = 0..t_steps, one row per t;
+    without it, rows of no arcs. The step count is checked before the first
+    step and the norm on entry and on the final state; the steps in between
+    run on plain arrays.
+    """
     _check_steps(t_steps)
     operator = marked_walk(graph)
-    state = uniform_superposition(graph)
-    for _ in range(t_steps):
-        state = step(state, graph, operator)
+    watched = operator.marked_arcs if watch_marked else operator.marked_arcs[:0]
+    amps = uniform_superposition(graph).amplitudes
+    watched_amps = np.empty((t_steps + 1, watched.size), dtype=complex)
+    watched_amps[0] = amps[watched]
+    for t in range(1, t_steps + 1):
+        amps = _apply_coin(amps, graph, operator).take(operator.shift_perm)
+        watched_amps[t] = amps[watched]
+    return CoinedWalkState(amps), watched_amps
+
+
+def walk_distribution(graph: Graph, t_steps: int) -> np.ndarray:
+    """Vertex probabilities after t_steps of the marked walk from the uniform state."""
+    state, _ = _walk(graph, t_steps)
     return position_probabilities(state, graph)
 
 
@@ -233,19 +257,20 @@ def search(graph: Graph, t_steps: int, rng: np.random.Generator) -> SearchResult
 
 
 def success_probability_trace(graph: Graph, t_limit: int) -> np.ndarray:
-    """Exact success probability after t = 0..t_limit steps (no sampling)."""
+    """Exact success probability after t = 0..t_limit steps (no sampling).
+
+    Holds the marked vertices' arc amplitudes for every t: (t_limit + 1) x
+    (arcs at marked vertices) complex values.
+    """
     if not graph.marked:
         raise DomainError("trace needs at least one marked vertex")
-    _check_steps(t_limit)
-    operator = marked_walk(graph)
-    state = uniform_superposition(graph)
-    marked = sorted(graph.marked)
-    trace = np.empty(t_limit + 1)
-    trace[0] = position_probabilities(state, graph)[marked].sum()
-    for t in range(1, t_limit + 1):
-        state = step(state, graph, operator)
-        trace[t] = position_probabilities(state, graph)[marked].sum()
-    return trace
+    _, marked_amps = _walk(graph, t_limit, watch_marked=True)
+    # Sum each marked vertex's arc block, then the vertices in order: the
+    # additions of position_probabilities(state, graph)[marked].sum().
+    degrees = graph.arc_degrees[sorted(graph.marked)]
+    block_starts = np.concatenate(([0], np.cumsum(degrees)[:-1]))
+    weights = np.abs(marked_amps) ** 2
+    return np.add.reduceat(weights, block_starts, axis=1).sum(axis=1)
 
 
 @dataclass(frozen=True)

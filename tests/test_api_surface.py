@@ -17,6 +17,7 @@ KEPT_WITHOUT_CALLER = {
     "frobenius_trace",  # ecurve: a_p from a point count, the parity oracle
     "teleport_branches",  # teleport: all four outcomes of teleport_state
     "int_to_bits",  # teleport: inverse of the bit order teleport_index uses
+    "step",  # qwalk: one validated walk step, the oracle for the walk loop
     # Entry points of the paper's models that no scenario runs yet.
     "crack_classic_dh",  # keyexchange: the eavesdropper who breaks classical DH
     "pq_candidate_keys",  # keyexchange: the eavesdropper's candidates in pq_dh

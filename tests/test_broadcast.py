@@ -148,6 +148,25 @@ class TestAlignedStartTime:
         assert t >= 2.5e9
 
 
+def isin_recover(view, window):
+    """eve_recover's known bits found with np.isin over the whole window."""
+    start = reception_index(SOURCE, receiver(), window.start_local_time_ns)
+    targets = np.arange(start, start + window.length, dtype=np.int64)
+    hit = np.isin(targets, view.stored_indices)
+    recovered = np.full(window.length, -1, dtype=np.int8)
+    recovered[hit] = bits_range(SOURCE, start, window.length)[hit]
+    known = int(hit.sum())
+    return known, 2.0 ** -(window.length - known), recovered
+
+
+def assert_recovery_equal(recovery, oracle):
+    known, probability, recovered = oracle
+    assert recovery.known_bits == known
+    assert recovery.guess_success_probability == probability
+    assert recovery.recovered.dtype == recovered.dtype
+    assert np.array_equal(recovery.recovered, recovered)
+
+
 class TestEve:
     def window(self, length=8, span=1024, start_index=None):
         if start_index is None:
@@ -197,6 +216,33 @@ class TestEve:
         view = eve_store(SOURCE, window, 0, 1024, 0.25, rng, strategy="prefix")
         assert view.stored_indices.tolist() == list(range(256))
         assert eve_recover(view, SOURCE, receiver()).known_bits == 8
+
+    @pytest.mark.parametrize("strategy", ["uniform", "prefix"])
+    def test_recover_equals_isin_oracle(self, strategy):
+        span = 2048
+        for length in (1, 8, 128, 2048):
+            for fraction in (0.0, 0.25, 0.5, 1.0):
+                window = self.window(length=length, span=span)
+                for seed in range(6):
+                    view = eve_store(
+                        SOURCE, window, 0, span, fraction, np.random.default_rng(seed), strategy
+                    )
+                    assert_recovery_equal(
+                        eve_recover(view, SOURCE, receiver()), isin_recover(view, window)
+                    )
+
+    @pytest.mark.parametrize("strategy", ["uniform", "prefix"])
+    def test_recover_window_partly_outside_span(self, strategy):
+        # The span covers stream indices 100..1123; each window overhangs one end.
+        stored_window = self.window(length=8)
+        for start_index, length in ((60, 64), (1100, 64), (90, 1100), (0, 100), (1124, 16)):
+            window = self.window(length=length, start_index=start_index)
+            for seed in range(6):
+                view = eve_store(
+                    SOURCE, stored_window, 100, 1024, 0.5, np.random.default_rng(seed), strategy
+                )
+                got = eve_recover(view, SOURCE, receiver(), window)
+                assert_recovery_equal(got, isin_recover(view, window))
 
     def test_unknown_strategy_rejected(self):
         rng = np.random.default_rng(4)

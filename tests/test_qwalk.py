@@ -454,8 +454,11 @@ class TestWalkDistribution:
         def refuse(*args):
             raise AssertionError("a walk step ran past the cap")
 
-        monkeypatch.setattr(qwalk, "step", refuse)
+        # The walk loop applies _apply_coin once per step.
+        monkeypatch.setattr(qwalk, "_apply_coin", refuse)
         g = cycle_graph(5, marked={1})
+        with pytest.raises(AssertionError, match="past the cap"):
+            walk_distribution(g, 1)
         with pytest.raises(ResourceError, match="cap"):
             walk_distribution(g, MAX_WALK_STEPS + 1)
         with pytest.raises(ResourceError, match="cap"):
@@ -465,3 +468,72 @@ class TestWalkDistribution:
         for walk in (walk_distribution, success_probability_trace):
             with pytest.raises(DomainError, match=">= 0"):
                 walk(g, -1)
+
+
+def stepped_walk(graph, t_steps):
+    """States at t = 0..t_steps from a loop of the validated step."""
+    operator = marked_walk(graph)
+    states = [uniform_superposition(graph)]
+    for _ in range(t_steps):
+        states.append(step(states[-1], graph, operator))
+    return states
+
+
+# (graph, steps): tori with marks at 0, 7 and n - 1, cycles and trees with
+# one to three marks, and a walk of no steps.
+WALK_ORACLE_CASES = (
+    [
+        (torus_graph(n, marked={mark}), min(sweep_step_cap(n), 300))
+        for n in (16, 64, 256, 1024, 4096)
+        for mark in (0, 7, n - 1)
+    ]
+    + [
+        (cycle_graph(n, marked=marks), 150)
+        for n, marks in ((5, {0}), (17, {3, 9}), (100, {0, 50, 99}))
+    ]
+    + [
+        (binary_tree_graph(depth, marked=marks), 150)
+        for depth, marks in ((2, {0}), (5, {1, 62}), (8, {3, 100, 510}))
+    ]
+    + [(torus_graph(64, marked={5, 6}), 0), (torus_graph(25, marked={0, 12, 24}), 80)]
+)
+
+
+WALK_ORACLE_IDS = [
+    f"{g.n_vertices}v-mark{'.'.join(map(str, sorted(g.marked)))}-{t}t" for g, t in WALK_ORACLE_CASES
+]
+
+
+class TestWalkLoop:
+    @pytest.mark.parametrize("graph,t_steps", WALK_ORACLE_CASES, ids=WALK_ORACLE_IDS)
+    def test_loop_equals_stepped_walk_bitwise(self, graph, t_steps):
+        states = stepped_walk(graph, t_steps)
+        marked = sorted(graph.marked)
+        oracle = [position_probabilities(state, graph)[marked].sum() for state in states]
+        assert np.array_equal(success_probability_trace(graph, t_steps), oracle)
+        assert np.array_equal(
+            walk_distribution(graph, t_steps), position_probabilities(states[-1], graph)
+        )
+
+    def test_unmarked_distribution_equals_stepped_walk_bitwise(self):
+        for g in (torus_graph(64), cycle_graph(9), binary_tree_graph(4)):
+            want = position_probabilities(stepped_walk(g, 40)[-1], g)
+            assert np.array_equal(walk_distribution(g, 40), want)
+
+    @pytest.mark.parametrize("walk", [success_probability_trace, walk_distribution])
+    def test_state_validated_on_entry_and_exit_only(self, walk, monkeypatch):
+        built = []
+        validate = CoinedWalkState.__post_init__
+
+        def counting(self):
+            built.append(1)
+            validate(self)
+
+        monkeypatch.setattr(CoinedWalkState, "__post_init__", counting)
+        g = torus_graph(64, marked={9})
+        counts = []
+        for t_steps in (0, 10, 200):
+            built.clear()
+            walk(g, t_steps)
+            counts.append(len(built))
+        assert counts == [2, 2, 2]
