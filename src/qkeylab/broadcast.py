@@ -27,11 +27,10 @@ MAX_STORAGE_SPAN = 1 << 22  # drawing the stored subset holds one int64 per span
 
 @dataclass(frozen=True)
 class BroadcastSource:
-    """Keyed deterministic bit stream emitted at a fixed rate from `epoch_ns`."""
+    """Keyed deterministic bit stream emitted at a fixed rate from time 0."""
 
     seed: int
     bitrate: float  # bits per second
-    epoch_ns: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.seed < (1 << 256):
@@ -108,10 +107,7 @@ def bits_range(source: BroadcastSource, start: int, length: int) -> np.ndarray:
 def _stream_position(source: BroadcastSource, receiver: Receiver, local_time_ns: float) -> float:
     """Fractional stream index arriving at `receiver` when its clock reads `local_time_ns`."""
     emission_elapsed_ns = (
-        local_time_ns
-        - receiver.clock.offset_ns
-        - receiver.propagation_delay_ns
-        - source.epoch_ns
+        local_time_ns - receiver.clock.offset_ns - receiver.propagation_delay_ns
     )
     if emission_elapsed_ns < 0:
         raise DomainError(
@@ -182,8 +178,9 @@ class StoredView:
     """What the eavesdropper managed to keep: a bounded subset of a stream span.
 
     `stored_indices` is sorted and unique; its size is at most
-    stored_fraction * span + 1, the storage bound. `window` records the key
-    window under attack for reporting; the storage choice never depends on it.
+    stored_fraction * span + 1, the storage bound. `window` is the key window
+    under attack, which `eve_recover` reads; the storage choice never depends
+    on it.
     """
 
     stored_fraction: float
@@ -232,18 +229,13 @@ def eve_store(
     return StoredView(stored_fraction, indices, span_start, span_length, window)
 
 
-def eve_recover(
-    view: StoredView,
-    source: BroadcastSource,
-    receiver: Receiver,
-    window: KeyWindow | None = None,
-) -> EveRecovery:
-    """How much of the window's key the stored view pins down.
+def eve_recover(view: StoredView, source: BroadcastSource, receiver: Receiver) -> EveRecovery:
+    """How much of the key in `view.window` the stored view pins down.
 
     Unknown bits are uniform, so guessing the full key succeeds with
     probability 2^-(length - known).
     """
-    window = view.window if window is None else window
+    window = view.window
     start = reception_index(source, receiver, window.start_local_time_ns)
     # stored_indices is sorted and unique, so the window's stored bits are
     # one contiguous run of it.

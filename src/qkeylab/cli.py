@@ -298,8 +298,8 @@ def _check_sync_window(p):
         )
 
 
-def _session_window(source, alice, session_index: int, length: int) -> broadcast.KeyWindow:
-    base = source.epoch_ns + alice.propagation_delay_ns + alice.clock.offset_ns
+def _session_window(alice, session_index: int, length: int) -> broadcast.KeyWindow:
+    base = alice.propagation_delay_ns + alice.clock.offset_ns
     return broadcast.KeyWindow(base + 1e9 + session_index * 1e7, length)
 
 
@@ -310,7 +310,7 @@ def _pqdh_session(args):
     prime = keyexchange.random_prime(p["p_bits"], rng)
     a = keyexchange.random_secret(prime, rng)
     b = keyexchange.random_secret(prime, rng)
-    window = _session_window(source, alice, i, p["p_bits"])
+    window = _session_window(alice, i, p["p_bits"])
     result = keyexchange.pq_dh(source, alice, bob, window, prime, a, b, rng, **sync)
     agreed = result.agreed and result.key_alice.reveal() == result.key_bob.reveal()
     lines = result.transcript.render().splitlines() if i == 0 else []
@@ -345,7 +345,7 @@ def _private_session(args):
     i, seed, p = args
     rng = np.random.default_rng(seed)
     source, alice, bob, sync = _link(p)
-    window = _session_window(source, alice, i, p["length_bits"])
+    window = _session_window(alice, i, p["length_bits"])
     result = keyexchange.private_exchange(
         source, alice, bob, window, rng, slot_bits=p["slot_bits"], **sync
     )
@@ -474,17 +474,14 @@ def _run_qwalk_search(config: ScenarioConfig) -> RunReport:
     t_steps = p["t"]
     if t_steps < 0:
         t_steps = qwalk.sweep_step_cap(graph.n_vertices)
-    probs = np.clip(qwalk.walk_distribution(graph, t_steps).real, 0.0, None)
-    exact = float(probs[sorted(graph.marked)].sum())
     sampler = derive_rng(config.master_seed, "qwalk-search", "sample")
-    draws = sampler.choice(graph.n_vertices, size=p["trials"], p=probs / probs.sum())
-    marked = np.array(sorted(graph.marked))
-    hit_rate = float(np.isin(draws, marked).mean())
+    result = qwalk.search(graph, t_steps, sampler, p["trials"])
+    exact, hit_rate = result.exact_success_probability, result.success_rate
     sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / p["trials"])
     report.stat("graph", p["graph"])
     report.stat("n_vertices", graph.n_vertices)
     report.stat("steps", t_steps)
-    report.stat("marked_vertex", int(marked[0]))
+    report.stat("marked_vertex", min(graph.marked))
     report.stat("exact_success_probability", exact)
     report.stat("sampled_success_rate", hit_rate)
     report.stat("trials", p["trials"])
@@ -495,8 +492,7 @@ def _run_qwalk_search(config: ScenarioConfig) -> RunReport:
 def _run_qwalk_sweep(config: ScenarioConfig) -> RunReport:
     p = config.params
     report = RunReport("qwalk-sweep")
-    rng = derive_rng(config.master_seed, "qwalk-sweep", "marks")
-    points = qwalk.scaling_sweep(p["sizes"], rng, p["cap_factor"])
+    points = qwalk.scaling_sweep(p["sizes"], p["cap_factor"])
     scaled = []
     for point in points:
         c = point.p_star * math.log2(point.n_vertices)
@@ -560,9 +556,7 @@ def _run_eve_bounded_storage(config: ScenarioConfig) -> RunReport:
 def _run_eve_qwalk(config: ScenarioConfig) -> RunReport:
     p = config.params
     report = RunReport("eve-qwalk")
-    rng = derive_rng(config.master_seed, "eve-qwalk", "key")
-    true_key = int(rng.integers(1 << p["depth"]))
-    attack = qwalk.keyspace_grid_attack(true_key, p["depth"], p["cap_factor"])
+    attack = qwalk.keyspace_grid_attack(0, p["depth"], p["cap_factor"])
     report.stat("key_bits", p["depth"])
     report.stat("keyspace_size", attack.keyspace_size)
     report.stat("t_star", attack.t_star)

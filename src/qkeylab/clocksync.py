@@ -48,9 +48,7 @@ class Clock:
 @dataclass(frozen=True)
 class SyncResult:
     delta_estimate_ns: float
-    bits_resolved: int
     qubits_used: int
-    shots_per_bit: int
 
 
 def _quadrature_p1(phi: float, extra_phase: float) -> float:
@@ -109,9 +107,4 @@ def ticking_qubit_sync(
         else:
             wraps = round((delta_est - residue) / modulus)
             delta_est = residue + wraps * modulus
-    return SyncResult(
-        delta_estimate_ns=delta_est,
-        bits_resolved=n_bits,
-        qubits_used=n_bits * shots_per_bit,
-        shots_per_bit=shots_per_bit,
-    )
+    return SyncResult(delta_estimate_ns=delta_est, qubits_used=n_bits * shots_per_bit)

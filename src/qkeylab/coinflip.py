@@ -58,7 +58,6 @@ class CoinFlipSession:
     curve: Curve
     commitment: ZetaCoeffs
     rounds: list[Trial] = field(default_factory=list)
-    challenge_factor: int = 10
     _trace_cache: dict[int, int] = field(default_factory=dict)
 
     def trace_parity(self, p: int) -> int:
@@ -118,7 +117,6 @@ def alice_setup(B: int, k: int, rng: np.random.Generator, challenge_factor: int 
             m=m,
             curve=curve,
             commitment=zeta_coefficients(curve, m),
-            challenge_factor=challenge_factor,
         )
     raise ResourceError(f"no qualifying curve with discriminant in [{B}, {2 * B}]; enlarge B")
 
@@ -138,24 +136,23 @@ def bob_choose_primes(
     return p, p_prime
 
 
+def _judge(disc: int, p: int, p_prime: int, parity) -> Trial:
+    """The trial at (p, p'): a retry if either prime divides the discriminant,
+    else (1, 0) is heads, (0, 1) is tails and any other parity pair a retry.
+    `parity(q)` is the curve's trace parity at the prime q."""
+    if disc % p == 0 or disc % p_prime == 0:
+        return Trial(p, p_prime, None, RETRY, bad_prime=True)
+    parities = (parity(p), parity(p_prime))
+    return Trial(p, p_prime, parities, {(1, 0): HEADS, (0, 1): TAILS}.get(parities, RETRY))
+
+
 def run_trial(session: CoinFlipSession, p: int, p_prime: int) -> Trial:
     """Alice evaluates the parity pair at (p, p') and maps it to a verdict."""
     if not session.m < p < p_prime:
         raise DomainError(f"need m < p < p', got m={session.m}, p={p}, p'={p_prime}")
     if not (is_probable_prime(p) and is_probable_prime(p_prime)):
         raise DomainError("challenge values must be prime")
-    disc = session.curve.discriminant
-    if disc % p == 0 or disc % p_prime == 0:
-        trial = Trial(p, p_prime, None, RETRY, bad_prime=True)
-    else:
-        parities = (session.trace_parity(p), session.trace_parity(p_prime))
-        if parities == (1, 0):
-            verdict = HEADS
-        elif parities == (0, 1):
-            verdict = TAILS
-        else:
-            verdict = RETRY
-        trial = Trial(p, p_prime, parities, verdict)
+    trial = _judge(session.curve.discriminant, p, p_prime, session.trace_parity)
     session.rounds.append(trial)
     return trial
 
@@ -181,18 +178,9 @@ def bob_verify(session: CoinFlipSession) -> VerifyResult:
     if len(diff):
         return VerifyResult(False, "commitment coefficient mismatch", int(diff[0]) + 1)
     for i, trial in enumerate(session.rounds):
-        bad = disc % trial.p == 0 or disc % trial.p_prime == 0
-        if bad != trial.bad_prime:
+        expected = _judge(disc, trial.p, trial.p_prime, lambda q: prime_coefficient(curve, q) & 1)
+        if expected.bad_prime != trial.bad_prime:
             return VerifyResult(False, f"trial {i}: bad-prime flag mismatch", i)
-        if bad:
-            expected = Trial(trial.p, trial.p_prime, None, RETRY, bad_prime=True)
-        else:
-            parities = (
-                prime_coefficient(curve, trial.p) & 1,
-                prime_coefficient(curve, trial.p_prime) & 1,
-            )
-            verdict = {(1, 0): HEADS, (0, 1): TAILS}.get(parities, RETRY)
-            expected = Trial(trial.p, trial.p_prime, parities, verdict)
         if expected != trial:
             return VerifyResult(False, f"trial {i}: parity or verdict mismatch", i)
     return VerifyResult(True)

@@ -32,6 +32,8 @@ _ODD_SAMPLE_CAP = 32
 MAX_SCAN = 10**6  # largest prime bound of a parity scan and length of a parity stream
 MAX_TABLE_PRIME = 1 << 22  # largest p for the O(p) tables (a few int64 arrays of length p)
 _ZETA_MEMO = 64  # coefficient sequences kept by `zeta_coefficients`
+_SELECT_BOUND = 16  # select_curve draws a and b from [-16, 16]
+_SELECT_BUDGET = 10_000  # draws select_curve makes before it gives up
 
 
 @dataclass(frozen=True)
@@ -356,12 +358,12 @@ def parity_density_scan(curve: Curve, x_bound: int) -> DensityReport:
 # -- parity-stream pseudorandom generator -------------------------------------
 
 
-def select_curve(seed: int, coeff_bound: int = 16, budget: int = 10000) -> Curve:
+def select_curve(seed: int) -> Curve:
     """Deterministically pick a splitting-degree-6 curve from a seeded scan."""
     rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        a = int(rng.integers(-coeff_bound, coeff_bound + 1))
-        b = int(rng.integers(-coeff_bound, coeff_bound + 1))
+    for _ in range(_SELECT_BUDGET):
+        a = int(rng.integers(-_SELECT_BOUND, _SELECT_BOUND + 1))
+        b = int(rng.integers(-_SELECT_BOUND, _SELECT_BOUND + 1))
         if 4 * a**3 + 27 * b**2 == 0:
             continue
         if splitting_degree(a, b) == 6:

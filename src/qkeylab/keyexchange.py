@@ -134,7 +134,6 @@ class SyncContext:
 
     estimate_ns: float
     error_ns: float
-    qubits_used: int
 
 
 def run_clock_sync(
@@ -159,9 +158,7 @@ def run_clock_sync(
         text_payload(f"{result.delta_estimate_ns:.3f}"),
     )
     return SyncContext(
-        estimate_ns=result.delta_estimate_ns,
-        error_ns=result.delta_estimate_ns - true_delta,
-        qubits_used=result.qubits_used,
+        estimate_ns=result.delta_estimate_ns, error_ns=result.delta_estimate_ns - true_delta
     )
 
 
@@ -178,8 +175,7 @@ def teleport_secret_int(
     (they are useless without the entangled half); the value itself never
     appears in any record.
     """
-    runs: list = []
-    received = teleport_index(value, bit_width, rng, sink=runs)
+    received, runs = teleport_index(value, bit_width, rng)
     transcript.add(f"{step}.epr", "alice", "bob", "quantum", int_payload(bit_width))
     for k, run in enumerate(runs):
         transcript.add(

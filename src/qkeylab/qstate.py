@@ -111,12 +111,12 @@ class MeasurementRecord:
     probability: float
 
 
-def new_basis_state(n_qubits: int, basis_index: int, max_qubits: int = MAX_QUBITS) -> StateVector:
+def new_basis_state(n_qubits: int, basis_index: int) -> StateVector:
     """Computational basis state |basis_index> on n_qubits."""
     if n_qubits < 1:
         raise DomainError(f"need at least one qubit, got {n_qubits}")
-    if n_qubits > max_qubits:
-        raise ResourceError(f"{n_qubits} qubits exceeds the cap of {max_qubits}")
+    if n_qubits > MAX_QUBITS:
+        raise ResourceError(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
     if not 0 <= basis_index < (1 << n_qubits):
         raise DomainError(f"basis index {basis_index} out of range for {n_qubits} qubit(s)")
     amps = np.zeros(1 << n_qubits, dtype=complex)

@@ -147,27 +147,24 @@ def teleport_branches(input_state: StateVector) -> tuple[TeleportBranch, ...]:
 
 
 def teleport_index(
-    n: int,
-    bit_width: int,
-    rng: np.random.Generator,
-    sink: list[TeleportTranscript] | None = None,
-) -> int:
+    n: int, bit_width: int, rng: np.random.Generator
+) -> tuple[int, list[TeleportTranscript]]:
     """Convey the integer n exactly by teleporting bit_width basis-state qubits.
 
     Bit k of n (LSB-0) rides qubit k's run. Each teleported qubit is measured
     on the receiving side after correction, so the reassembled integer equals
     n whenever every single-qubit run has unit fidelity, which it does here.
-    `sink`, when given, collects the per-qubit run records.
+    Returns the received integer and the per-qubit run records, bit 0 first.
     """
     if bit_width < 1:
         raise DomainError(f"bit width must be >= 1, got {bit_width}")
     if not 0 <= n < (1 << bit_width):
         raise DomainError(f"{n} does not fit in {bit_width} bit(s)")
     value = 0
+    records = []
     for k in range(bit_width):
         record, received = teleport_state(new_basis_state(1, (n >> k) & 1), rng)
         measured, _ = measure_qubit(received, 0, rng)
         value |= measured.outcome << k
-        if sink is not None:
-            sink.append(record)
-    return value
+        records.append(record)
+    return value, records

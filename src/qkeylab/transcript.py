@@ -37,25 +37,15 @@ class TranscriptRecord:
 
 
 class Transcript:
-    """Append-only message log with a deterministic internal clock."""
+    """Append-only message log; a record's time is its index in the log."""
 
     def __init__(self):
         self.records: list[TranscriptRecord] = []
-        self._clock = 0
 
     def add(
-        self,
-        step: str,
-        sender: str,
-        receiver: str,
-        channel: str,
-        payload: bytes,
-        time_ns: int | None = None,
+        self, step: str, sender: str, receiver: str, channel: str, payload: bytes
     ) -> TranscriptRecord:
-        if time_ns is None:
-            time_ns = self._clock
-        self._clock = max(self._clock, time_ns) + 1
-        record = TranscriptRecord(step, sender, receiver, channel, payload, time_ns)
+        record = TranscriptRecord(step, sender, receiver, channel, payload, len(self.records))
         self.records.append(record)
         return record
 

@@ -219,8 +219,7 @@ def test_criterion_06_coin_flipping():
 def test_criterion_07_walk_search_scaling():
     start = time.perf_counter()
     sizes = [16, 64, 256, 1024]
-    rng = derive_rng(MASTER_SEED, "acc7")
-    points = qwalk.scaling_sweep(sizes, rng)
+    points = qwalk.scaling_sweep(sizes)
     scaled = [point.p_star * math.log2(point.n_vertices) for point in points]
     floor_ok = all(c >= scaled[0] / 2 for c in scaled)
     cap_ok = True

@@ -1,7 +1,13 @@
 """Every public function and class of a qkeylab module has a caller in the
 library or the benchmark, unless it is named below as a test oracle or a
-model entry point. Names that only tests call belong in the tests."""
+model entry point. Names that only tests call belong in the tests.
+
+The same holds one level down: every defaulted parameter of a public
+function, method or class is set by some call in the library or the
+benchmark, unless it is named below. An option that only tests set is
+surface without a use."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -21,22 +27,56 @@ KEPT_WITHOUT_CALLER = {
     # Entry points of the paper's models that no scenario runs yet.
     "crack_classic_dh",  # keyexchange: the eavesdropper who breaks classical DH
     "pq_candidate_keys",  # keyexchange: the eavesdropper's candidates in pq_dh
-    "search",  # qwalk: one measured run of the marked-vertex search
     "walk_agreement",  # qwalk: the walk-based key agreement
 }
+
+KEPT_UNSET_DEFAULTS = {
+    "main.argv",  # cli: the console entry point passes nothing and reads sys.argv
+    # walk_agreement has no caller (above); test_cli pins these three to the
+    # clock-sync ladder that pq_dh and private_exchange share.
+    "walk_agreement.sync_n_bits",
+    "walk_agreement.sync_t_max_ns",
+    "walk_agreement.sync_shots_per_bit",
+}
+
+
+def library_trees():
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        yield ast.parse(path.read_text(), str(path))
 
 
 def referenced_names():
     """Every identifier that code under src/ or perfbench/ reads or imports."""
     names = set()
-    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in library_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
+    return names
+
+
+def caller_names():
+    """Every identifier that code under src/ or perfbench/ calls, imports or
+    reads off a qkeylab module. Unlike `referenced_names`, a field or local
+    variable of the same name does not count."""
+    modules = {info.name for info in pkgutil.iter_modules(qkeylab.__path__)}
+    names = set()
+    for tree in library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                names.add(_callee(node))
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                names.add(node.attr)
     return names
 
 
@@ -50,15 +90,91 @@ def public_api():
                 and (inspect.isfunction(obj) or inspect.isclass(obj))
                 and obj.__module__ == module.__name__
             ):
-                yield f"{module_name}.{name}", name
+                yield f"{module_name}.{name}", name, obj
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The called name, or None for a callable looked up at run time."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _defaulted(fn, skip_first: bool, factory_fields=()):
+    """(position, name) of each defaulted parameter; position is None for a
+    keyword-only one."""
+    params = list(inspect.signature(fn).parameters.values())[skip_first:]
+    return [
+        (None if p.kind is p.KEYWORD_ONLY else i, p.name)
+        for i, p in enumerate(params)
+        if p.default is not p.empty and p.name not in factory_fields
+    ]
+
+
+def public_defaults():
+    """(callee name, defaulted parameters) of every public function, public
+    method and class __init__. Dataclass fields with a default_factory are
+    accumulators, not options, and are left out."""
+    for _, name, obj in public_api():
+        if not inspect.isclass(obj):
+            yield name, _defaulted(obj, False)
+            continue
+        if "__init__" in vars(obj):
+            factories = (
+                {f.name for f in dataclasses.fields(obj) if f.default_factory is not dataclasses.MISSING}
+                if dataclasses.is_dataclass(obj)
+                else set()
+            )
+            yield name, _defaulted(obj.__init__, True, factories)
+        for method_name, method in vars(obj).items():
+            if not method_name.startswith("_") and inspect.isfunction(method):
+                yield method_name, _defaulted(method, True)
+
+
+def _sets(call: ast.Call, position: int | None, param: str) -> bool:
+    return (
+        any(kw.arg in (param, None) for kw in call.keywords)
+        or any(isinstance(arg, ast.Starred) for arg in call.args)
+        or (position is not None and position < len(call.args))
+    )
+
+
+def unset_defaults():
+    """"callee.param" for every defaulted parameter that no call under src/
+    or perfbench/ sets.
+
+    A call sets a parameter when it names it as a keyword, reaches its
+    position with positional arguments, or passes *args or **kwargs to a
+    callable of that name. A keyword passed to a callable looked up at run
+    time, such as `table[key](size, marked=...)`, counts for every callee."""
+    calls = [node for tree in library_trees() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    looked_up = {kw.arg for call in calls if _callee(call) is None for kw in call.keywords}
+    unset = set()
+    for name, params in public_defaults():
+        named = [call for call in calls if _callee(call) == name]
+        for position, param in params:
+            if param not in looked_up and not any(_sets(c, position, param) for c in named):
+                unset.add(f"{name}.{param}")
+    return unset
 
 
 def test_every_public_name_has_a_caller_or_is_kept_on_purpose():
     used = referenced_names() | KEPT_WITHOUT_CALLER
-    unused = [qualified for qualified, name in public_api() if name not in used]
+    unused = [qualified for qualified, name, _ in public_api() if name not in used]
     assert unused == []
 
 
 def test_kept_names_exist():
-    public = {name for _, name in public_api()}
+    public = {name for _, name, _ in public_api()}
     assert KEPT_WITHOUT_CALLER <= public
+    # A kept name that has gained a caller no longer needs the exemption.
+    assert KEPT_WITHOUT_CALLER & caller_names() == set()
+
+
+def test_every_default_is_set_by_a_caller_or_kept_on_purpose():
+    unset = unset_defaults()
+    assert sorted(unset - KEPT_UNSET_DEFAULTS) == []
+    # Every kept entry still exists and still has no caller that sets it.
+    assert sorted(KEPT_UNSET_DEFAULTS - unset) == []

@@ -94,9 +94,9 @@ class TestReceptionIndex:
         )
 
     def test_before_epoch_rejected(self):
-        late_epoch = BroadcastSource(seed=1, bitrate=1e6, epoch_ns=1e9)
+        # This clock reads 1 s ahead: at local time 0.5 s the stream has not begun.
         with pytest.raises(DomainError):
-            reception_index(late_epoch, receiver(), 0.5e9)
+            reception_index(SOURCE, receiver(offset_ns=1e9), 0.5e9)
 
 
 class TestExtractKey:
@@ -140,9 +140,7 @@ class TestAlignedStartTime:
     def test_lands_mid_bit(self):
         alice = receiver("alice", 12_345.0, offset_ns=777.0)
         t = aligned_start_time(SOURCE, alice, 2.5e9)
-        elapsed = (
-            t - alice.clock.offset_ns - alice.propagation_delay_ns - SOURCE.epoch_ns
-        )
+        elapsed = t - alice.clock.offset_ns - alice.propagation_delay_ns
         position = elapsed * SOURCE.bitrate / 1e9
         assert position - np.floor(position) == pytest.approx(0.5, abs=1e-6)
         assert t >= 2.5e9
@@ -234,14 +232,13 @@ class TestEve:
     @pytest.mark.parametrize("strategy", ["uniform", "prefix"])
     def test_recover_window_partly_outside_span(self, strategy):
         # The span covers stream indices 100..1123; each window overhangs one end.
-        stored_window = self.window(length=8)
         for start_index, length in ((60, 64), (1100, 64), (90, 1100), (0, 100), (1124, 16)):
             window = self.window(length=length, start_index=start_index)
             for seed in range(6):
                 view = eve_store(
-                    SOURCE, stored_window, 100, 1024, 0.5, np.random.default_rng(seed), strategy
+                    SOURCE, window, 100, 1024, 0.5, np.random.default_rng(seed), strategy
                 )
-                got = eve_recover(view, SOURCE, receiver(), window)
+                got = eve_recover(view, SOURCE, receiver())
                 assert_recovery_equal(got, isin_recover(view, window))
 
     def test_unknown_strategy_rejected(self):

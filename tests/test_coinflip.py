@@ -23,16 +23,9 @@ from qkeylab.coinflip import (
 )
 
 
-def make_session(curve, B, k, challenge_factor=10):
+def make_session(curve, B, k):
     m = commitment_length(B, k)
-    return CoinFlipSession(
-        B=B,
-        k=k,
-        m=m,
-        curve=curve,
-        commitment=zeta_coefficients(curve, m),
-        challenge_factor=challenge_factor,
-    )
+    return CoinFlipSession(B=B, k=k, m=m, curve=curve, commitment=zeta_coefficients(curve, m))
 
 
 class TestSetup:

@@ -37,8 +37,6 @@ class TestBasisStates:
     def test_qubit_cap(self):
         with pytest.raises(ResourceError):
             new_basis_state(qstate.MAX_QUBITS + 1, 0)
-        with pytest.raises(ResourceError):
-            new_basis_state(5, 0, max_qubits=4)
 
     def test_norm_validated_on_construction(self):
         with pytest.raises(DomainError):

@@ -296,12 +296,12 @@ class TestStep:
 class TestSearch:
     def test_zero_steps_is_uniform_guess(self):
         g = torus_graph(16, marked={7})
-        result = search(g, 0, np.random.default_rng(1))
+        result = search(g, 0, np.random.default_rng(1), 1)
         assert result.exact_success_probability == pytest.approx(1 / 16)
 
     def test_needs_marked_vertex(self):
         with pytest.raises(DomainError):
-            search(torus_graph(16), 5, np.random.default_rng(1))
+            search(torus_graph(16), 5, np.random.default_rng(1), 1)
 
     def test_success_flag_tracks_exact_probability(self):
         g = torus_graph(64, marked={9})
@@ -309,9 +309,25 @@ class TestSearch:
         exact = success_probability_trace(g, t_star)[t_star]
         rng = np.random.default_rng(11)
         trials = 800
-        hits = sum(search(g, t_star, rng).success for _ in range(trials))
+        result = search(g, t_star, rng, trials)
+        assert result.measured_vertices.shape == (trials,)
+        assert result.success_rate == float((result.measured_vertices == 9).mean())
         sigma = math.sqrt(exact * (1 - exact) / trials)
-        assert abs(hits / trials - exact) <= 3 * sigma + 1e-9
+        assert abs(result.success_rate - exact) <= 3 * sigma + 1e-9
+
+    def test_draws_from_the_walk_distribution(self):
+        # One draw of `trials` samples from walk_distribution, as qwalk-search reports it.
+        g = cycle_graph(17, marked={3, 11})
+        probs = walk_distribution(g, 9)
+        expected = np.random.default_rng(4).choice(17, size=500, p=probs / probs.sum())
+        result = search(g, 9, np.random.default_rng(4), 500)
+        assert np.array_equal(result.measured_vertices, expected)
+        assert result.success_rate == float(np.isin(expected, [3, 11]).mean())
+        assert result.steps_t == 9
+
+    def test_needs_a_trial(self):
+        with pytest.raises(DomainError):
+            search(torus_graph(16, marked={0}), 5, np.random.default_rng(1), 0)
 
     def test_trace_against_golden(self):
         for n_str, row in GOLDEN.items():
@@ -326,11 +342,23 @@ class TestSearch:
             assert trace[row["t_star"]] == pytest.approx(row["p_star"], abs=1e-12)
 
     def test_sweep_matches_golden_and_is_marked_vertex_invariant(self):
-        points = scaling_sweep([16, 64], np.random.default_rng(8))
+        points = scaling_sweep([16, 64])
         for point in points:
             row = GOLDEN[str(point.n_vertices)]
             assert point.t_star == row["t_star"]
             assert point.p_star == pytest.approx(row["p_star"], abs=1e-9)
+
+    def test_torus_trace_does_not_depend_on_the_mark(self):
+        # The torus is vertex-transitive and every vertex lists its neighbours
+        # in the same order, so the sweep may mark vertex 0: every other mark
+        # gives the same trace, bit for bit.
+        for n in (9, 16, 25, 64, 100, 256, 1024, 4096):
+            side = math.isqrt(n)
+            cap = sweep_step_cap(n)
+            reference = success_probability_trace(torus_graph(n, marked={0}), cap)
+            for mark in sorted({1, side + 2, n // 2 + 1, n - side, n - 1}):
+                trace = success_probability_trace(torus_graph(n, marked={mark}), cap)
+                assert np.array_equal(trace, reference), (n, mark)
 
     def test_walk_beats_classical_sampling(self):
         # Quantified from the golden traces: the earliest step within 90% of
@@ -419,9 +447,18 @@ class TestKeyspaceAttack:
         assert report.t_star == GOLDEN["256"]["t_star"]
         assert report.shortfall == pytest.approx(1 - report.p_star)
 
+    def test_true_key_does_not_change_the_report(self):
+        reports = {keyspace_grid_attack(key, 6) for key in (0, 1, 37, 63)}
+        assert len(reports) == 1
+
     def test_odd_width_rejected(self):
         with pytest.raises(DomainError):
             keyspace_grid_attack(1, 7)
+
+    def test_key_outside_the_space_rejected(self):
+        for key in (-1, 1 << 6):
+            with pytest.raises(DomainError):
+                keyspace_grid_attack(key, 6)
 
 
 class TestSixteenVertexSweep:
@@ -441,7 +478,7 @@ class TestWalkDistribution:
         probs = walk_distribution(g, 12)
         assert probs.sum() == pytest.approx(1.0)
         assert probs[9] == pytest.approx(success_probability_trace(g, 12)[12], abs=1e-15)
-        result = search(g, 12, np.random.default_rng(3))
+        result = search(g, 12, np.random.default_rng(3), 1)
         assert result.exact_success_probability == float(probs[[9]].sum())
 
     def test_step_cap_is_the_largest_sweep_cap(self):
@@ -464,7 +501,7 @@ class TestWalkDistribution:
         with pytest.raises(ResourceError, match="cap"):
             success_probability_trace(g, MAX_WALK_STEPS + 1)
         with pytest.raises(ResourceError, match="cap"):
-            search(g, MAX_WALK_STEPS + 1, np.random.default_rng(1))
+            search(g, MAX_WALK_STEPS + 1, np.random.default_rng(1), 1)
         for walk in (walk_distribution, success_probability_trace):
             with pytest.raises(DomainError, match=">= 0"):
                 walk(g, -1)

@@ -138,11 +138,11 @@ class TestTeleportState:
 class TestTeleportIndex:
     def test_zero(self):
         rng = np.random.default_rng(4)
-        assert teleport_index(0, 4, rng) == 0
+        assert teleport_index(0, 4, rng)[0] == 0
 
     def test_five(self):
         rng = np.random.default_rng(4)
-        assert teleport_index(5, 4, rng) == 5
+        assert teleport_index(5, 4, rng)[0] == 5
 
     def test_out_of_range(self):
         rng = np.random.default_rng(4)
@@ -155,11 +155,11 @@ class TestTeleportIndex:
         rng = np.random.default_rng(17)
         for width in (1, 2, 3, 5):
             for n in range(1 << width):
-                assert teleport_index(n, width, rng) == n
+                assert teleport_index(n, width, rng)[0] == n
 
     def test_sink_collects_per_qubit_records(self):
         rng = np.random.default_rng(6)
-        sink = []
-        teleport_index(9, 6, rng, sink=sink)
-        assert len(sink) == 6
-        assert all(record.fidelity >= 1 - 1e-9 for record in sink)
+        value, records = teleport_index(9, 6, rng)
+        assert value == 9
+        assert len(records) == 6
+        assert all(record.fidelity >= 1 - 1e-9 for record in records)
