@@ -177,16 +177,13 @@ def bits_to_hex(bits: np.ndarray) -> str:
 class StoredView:
     """What the eavesdropper managed to keep: a bounded subset of a stream span.
 
-    `stored_indices` is sorted and unique; its size is at most
-    stored_fraction * span + 1, the storage bound. `window` is the key window
-    under attack, which `eve_recover` reads; the storage choice never depends
-    on it.
+    `stored_indices` is sorted and unique; its size is the storage bound
+    floor(stored_fraction * span_length) of the `eve_store` call that made
+    it. `window` is the key window under attack, which `eve_recover` reads;
+    the storage choice never depends on it.
     """
 
-    stored_fraction: float
     stored_indices: np.ndarray
-    span_start: int
-    span_length: int
     window: KeyWindow
 
 
@@ -226,7 +223,7 @@ def eve_store(
     else:
         raise DomainError(f"unknown storage strategy {strategy!r}")
     indices = np.sort(kept.astype(np.int64)) + span_start
-    return StoredView(stored_fraction, indices, span_start, span_length, window)
+    return StoredView(indices, window)
 
 
 def eve_recover(view: StoredView, source: BroadcastSource, receiver: Receiver) -> EveRecovery:

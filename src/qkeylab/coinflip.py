@@ -58,12 +58,6 @@ class CoinFlipSession:
     curve: Curve
     commitment: ZetaCoeffs
     rounds: list[Trial] = field(default_factory=list)
-    _trace_cache: dict[int, int] = field(default_factory=dict)
-
-    def trace_parity(self, p: int) -> int:
-        if p not in self._trace_cache:
-            self._trace_cache[p] = prime_coefficient(self.curve, p)
-        return self._trace_cache[p] & 1
 
 
 @dataclass(frozen=True)
@@ -136,23 +130,30 @@ def bob_choose_primes(
     return p, p_prime
 
 
-def _judge(disc: int, p: int, p_prime: int, parity) -> Trial:
+def _challenge_error(m: int, p: int, p_prime: int) -> str | None:
+    """Why (p, p') is not a valid challenge beyond the commitment m, or None."""
+    if not m < p < p_prime:
+        return f"need m < p < p', got m={m}, p={p}, p'={p_prime}"
+    if not (is_probable_prime(p) and is_probable_prime(p_prime)):
+        return "challenge values must be prime"
+    return None
+
+
+def _judge(curve: Curve, p: int, p_prime: int) -> Trial:
     """The trial at (p, p'): a retry if either prime divides the discriminant,
-    else (1, 0) is heads, (0, 1) is tails and any other parity pair a retry.
-    `parity(q)` is the curve's trace parity at the prime q."""
-    if disc % p == 0 or disc % p_prime == 0:
+    else (1, 0) is heads, (0, 1) is tails and any other parity pair a retry,
+    where a parity is the curve's trace parity at that prime."""
+    if curve.discriminant % p == 0 or curve.discriminant % p_prime == 0:
         return Trial(p, p_prime, None, RETRY, bad_prime=True)
-    parities = (parity(p), parity(p_prime))
+    parities = (prime_coefficient(curve, p) & 1, prime_coefficient(curve, p_prime) & 1)
     return Trial(p, p_prime, parities, {(1, 0): HEADS, (0, 1): TAILS}.get(parities, RETRY))
 
 
 def run_trial(session: CoinFlipSession, p: int, p_prime: int) -> Trial:
     """Alice evaluates the parity pair at (p, p') and maps it to a verdict."""
-    if not session.m < p < p_prime:
-        raise DomainError(f"need m < p < p', got m={session.m}, p={p}, p'={p_prime}")
-    if not (is_probable_prime(p) and is_probable_prime(p_prime)):
-        raise DomainError("challenge values must be prime")
-    trial = _judge(session.curve.discriminant, p, p_prime, session.trace_parity)
+    if error := _challenge_error(session.m, p, p_prime):
+        raise DomainError(error)
+    trial = _judge(session.curve, p, p_prime)
     session.rounds.append(trial)
     return trial
 
@@ -161,9 +162,10 @@ def bob_verify(session: CoinFlipSession) -> VerifyResult:
     """Recompute everything from the revealed curve and check it matches.
 
     Covers the setup constraints (discriminant interval, degree 6, commitment
-    length), every committed coefficient, and every trial's parities and
-    verdict. On a commitment mismatch, `first_mismatch` is the first index n
-    whose coefficient disagrees.
+    length), every committed coefficient, and every trial's challenge,
+    parities and verdict. On a commitment mismatch, `first_mismatch` is the
+    first index n whose coefficient disagrees; on a trial mismatch, the
+    trial's index.
     """
     curve = session.curve
     disc = curve.discriminant
@@ -178,7 +180,9 @@ def bob_verify(session: CoinFlipSession) -> VerifyResult:
     if len(diff):
         return VerifyResult(False, "commitment coefficient mismatch", int(diff[0]) + 1)
     for i, trial in enumerate(session.rounds):
-        expected = _judge(disc, trial.p, trial.p_prime, lambda q: prime_coefficient(curve, q) & 1)
+        if error := _challenge_error(session.m, trial.p, trial.p_prime):
+            return VerifyResult(False, f"trial {i}: {error}", i)
+        expected = _judge(curve, trial.p, trial.p_prime)
         if expected.bad_prime != trial.bad_prime:
             return VerifyResult(False, f"trial {i}: bad-prime flag mismatch", i)
         if expected != trial:

@@ -153,11 +153,6 @@ class ZetaCoeffs:
         if self.m >= 1 and values[0] != 1:
             raise DomainError("a(1) must be 1")
 
-    def a(self, n: int) -> int:
-        if not 1 <= n <= self.m:
-            raise DomainError(f"index {n} outside [1, {self.m}]")
-        return int(self.values[n - 1])
-
 
 def _count_small(curve: Curve, p: int) -> int:
     count = 1
@@ -170,22 +165,15 @@ def _count_small(curve: Curve, p: int) -> int:
 
 
 def _bad_prime_coefficient(curve: Curve, p: int) -> int:
-    # Degenerate reduction: 0 for a cusp, +-1 for a node depending on whether
-    # the tangent slopes at the node live in F_p.
-    if p <= 3:
+    # Degenerate reduction at p > 3. The singular point (x0, 0) solves
+    # 3x0^2 + a = 0 and x0^3 + ax0 + b = 0, so x0 = -3b / (2a). If p divides a,
+    # it divides b too (p divides 4a^3 + 27b^2): a cusp at x0 = 0, coefficient
+    # 0. Otherwise a node, +-1 as the tangent slopes at the node, the square
+    # roots of 3x0, lie in F_p or not.
+    if p <= 3 or curve.a % p == 0:
         return 0
-    _check_table_size(p)
-    x = np.arange(p, dtype=np.int64)
-    fx = ((x * x % p) * x + (curve.a % p) * x + curve.b % p) % p
-    dfx = (3 * (x * x % p) + curve.a % p) % p
-    sing = np.nonzero((fx == 0) & (dfx == 0))[0]
-    if len(sing) == 0:
-        raise DomainError(f"{p} divides the discriminant but no singular point found")
-    x0 = int(sing[0])
-    x1 = (-2 * x0) % p
-    if x1 == x0:
-        return 0
-    return 1 if pow(3 * x0 % p, (p - 1) // 2, p) == 1 else -1
+    x0 = -3 * curve.b * pow(2 * curve.a, -1, p) % p
+    return 1 if pow(3 * x0, (p - 1) // 2, p) == 1 else -1
 
 
 def _prime_coefficient_sieved(curve: Curve, p: int) -> int:

@@ -324,7 +324,6 @@ class PrivateExchangeResult:
     slot_index: int
     sync_error_ns: float
     start_index_alice: int
-    window_length: int
 
 
 def private_exchange(
@@ -383,7 +382,6 @@ def private_exchange(
         slot_index=slot,
         sync_error_ns=sync.error_ns,
         start_index_alice=reception_index(source, alice, start_alice),
-        window_length=window.length,
     )
 
 

@@ -97,16 +97,11 @@ class StateVector:
         if abs(norm - 1.0) > _NORM_ATOL:
             raise DomainError(f"state norm {norm} deviates from 1 beyond {_NORM_ATOL}")
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One projective measurement: which qubit, the outcome, its Born weight."""
+    """One projective measurement: the outcome and its Born weight."""
 
-    qubit: int
     outcome: int
     probability: float
 
@@ -189,7 +184,7 @@ def measure_qubit(
         )
     amps = state.amplitudes / math.sqrt(p_outcome)
     _halves(amps, qubit)[:, 1 - outcome, :] = 0.0
-    return MeasurementRecord(qubit, outcome, p_outcome), StateVector(state.n_qubits, amps)
+    return MeasurementRecord(outcome, p_outcome), StateVector(state.n_qubits, amps)
 
 
 def fidelity(s1: StateVector, s2: StateVector) -> float:

@@ -6,7 +6,8 @@ the coin (x) position space: for a regular graph of degree d the dimension is
 d * N. One step applies the coin - the degree-d diffusion operator
 2/d * J - I at unmarked vertices, -I at marked ones - then the flip-flop
 shift, which moves each arc onto its reversal. Both factors are involutions,
-so the inverse step is shift-then-coin.
+so the inverse step is shift-then-coin. A `Graph` carries the whole operator:
+the per-vertex coin factors 2/d, the marked vertices' arcs and the reversal.
 
 `walk_distribution` and `success_probability_trace` share one walk loop on
 plain amplitude arrays: the state is validated on entry and on exit, not at
@@ -48,7 +49,9 @@ class Graph:
     Arc i runs from arc_tail[i] to arc_head[i]. The arcs are grouped by tail
     in vertex order, and each vertex's arcs keep its neighbor order, which
     fixes the order in which the coin sums a block. Every edge is listed once
-    in each direction; arc_reversal maps each arc to its reverse.
+    in each direction; arc_reversal maps each arc to its reverse, which is
+    the walk's shift. coin_factor (2/deg(v) per vertex) and marked_arcs (the
+    arcs whose tail is marked, in arc order) are its coin.
     """
 
     def __init__(self, n_vertices: int, arc_tail, arc_head, marked=()):
@@ -91,6 +94,8 @@ class Graph:
         self.arc_degrees = degrees
         self.arc_offsets = np.concatenate(([0], np.cumsum(degrees)[:-1]))
         self.arc_reversal = order[found]
+        self.coin_factor = 2.0 / degrees
+        self.marked_arcs = np.flatnonzero(np.isin(tail, list(self.marked)))
 
 
 def cycle_graph(n: int, marked=()) -> Graph:
@@ -149,47 +154,25 @@ class CoinedWalkState:
             raise DomainError(f"walk state norm {norm} deviates from 1")
 
 
-@dataclass(frozen=True)
-class WalkOperator:
-    """One marked-walk step U' = shift o (conditional coin).
-
-    coin: diffusion 2/d * J - I on each unmarked vertex's arc block, -I on
-    marked blocks. shift: the flip-flop arc reversal permutation.
-    """
-
-    coin_factor: np.ndarray  # per-vertex 2/deg(v)
-    marked_arcs: np.ndarray  # arcs whose tail is marked, in arc order
-    shift_perm: np.ndarray  # arc reversal
-
-
-def marked_walk(graph: Graph) -> WalkOperator:
-    return WalkOperator(
-        coin_factor=2.0 / graph.arc_degrees,
-        marked_arcs=np.flatnonzero(np.isin(graph.arc_tail, list(graph.marked))),
-        shift_perm=graph.arc_reversal,
-    )
-
-
 def uniform_superposition(graph: Graph) -> CoinedWalkState:
     amps = np.full(graph.n_arcs, 1.0 / math.sqrt(graph.n_arcs), dtype=complex)
     return CoinedWalkState(amps)
 
 
-def _apply_coin(amps: np.ndarray, graph: Graph, operator: WalkOperator) -> np.ndarray:
+def _apply_coin(amps: np.ndarray, graph: Graph) -> np.ndarray:
     block_sums = np.add.reduceat(amps, graph.arc_offsets)
-    coined = np.repeat(operator.coin_factor * block_sums, graph.arc_degrees)
+    coined = np.repeat(graph.coin_factor * block_sums, graph.arc_degrees)
     coined -= amps
-    coined[operator.marked_arcs] = -amps[operator.marked_arcs]
+    coined[graph.marked_arcs] = -amps[graph.marked_arcs]
     return coined
 
 
-def step(state: CoinedWalkState, graph: Graph, operator: WalkOperator) -> CoinedWalkState:
+def step(state: CoinedWalkState, graph: Graph) -> CoinedWalkState:
     """Apply one walk step: conditional coin, then flip-flop shift."""
     amps = state.amplitudes
     if amps.shape != (graph.n_arcs,):
         raise DomainError(f"state has {amps.shape} amplitudes, graph has {graph.n_arcs} arcs")
-    coined = _apply_coin(amps, graph, operator)
-    return CoinedWalkState(coined.take(operator.shift_perm))
+    return CoinedWalkState(_apply_coin(amps, graph).take(graph.arc_reversal))
 
 
 def position_probabilities(state: CoinedWalkState, graph: Graph) -> np.ndarray:
@@ -216,13 +199,12 @@ def _walk(
     run on plain arrays.
     """
     _check_steps(t_steps)
-    operator = marked_walk(graph)
-    watched = operator.marked_arcs if watch_marked else operator.marked_arcs[:0]
+    watched = graph.marked_arcs if watch_marked else graph.marked_arcs[:0]
     amps = uniform_superposition(graph).amplitudes
     watched_amps = np.empty((t_steps + 1, watched.size), dtype=complex)
     watched_amps[0] = amps[watched]
     for t in range(1, t_steps + 1):
-        amps = _apply_coin(amps, graph, operator).take(operator.shift_perm)
+        amps = _apply_coin(amps, graph).take(graph.arc_reversal)
         watched_amps[t] = amps[watched]
     return CoinedWalkState(amps), watched_amps
 

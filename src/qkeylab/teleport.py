@@ -6,6 +6,12 @@ pair, qubit 2 the receiver's half. The two classical measurement bits select
 the receiver-side correction: X if the entangled-half bit is 1, then Z if the
 payload-register bit is 1. The sender's payload qubit is collapsed by the
 joint measurement, so no copy survives on the sending side.
+
+`teleport_state` and `teleport_branches` start from one circuit, the Bell
+frame: it makes the pair and rotates qubits 0 and 1 so that the joint
+measurement reads them in the computational basis. `teleport_state` samples
+qubit 1, then qubit 0; `teleport_branches` reads all four outcomes off the
+frame's amplitudes.
 """
 from __future__ import annotations
 
@@ -21,13 +27,10 @@ from .qstate import (
     fidelity,
     h,
     measure_qubit,
-    measurement_probabilities,
     new_basis_state,
     x,
     z,
 )
-
-_ZERO_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,43 +62,20 @@ class TeleportBranch:
     receiver_after: StateVector
 
 
-def make_epr(state: StateVector, q1: int, q2: int) -> StateVector:
-    """Entangle qubits q1, q2 (both currently |0>) into (|00>+|11>)/sqrt(2)."""
-    if q1 == q2:
-        raise DomainError("EPR pair needs two distinct qubits")
-    for q in (q1, q2):
-        if measurement_probabilities(state, q)[1] > _ZERO_ATOL**2:
-            raise DomainError(f"qubits {q1} and {q2} must both be in |0> before pairing")
-    state = apply_gate(state, h(q1))
-    return apply_gate(state, cnot(q1, q2))
-
-
-def bell_measure(
-    state: StateVector, q_target: int, q_epr: int, rng: np.random.Generator
-) -> tuple[BellOutcome, StateVector]:
-    """Joint measurement of (q_target, q_epr) in the entangled basis.
-
-    Implemented as CNOT(q_target -> q_epr), H(q_target), then measuring both
-    qubits in the computational basis.
-    """
-    if q_target == q_epr:
-        raise DomainError("joint measurement needs two distinct qubits")
-    state = apply_gate(state, cnot(q_target, q_epr))
-    state = apply_gate(state, h(q_target))
-    rec_x, state = measure_qubit(state, q_epr, rng)
-    rec_z, state = measure_qubit(state, q_target, rng)
-    return BellOutcome(bit_z=rec_z.outcome, bit_x=rec_x.outcome), state
-
-
-def _embed_with_pair(input_state: StateVector) -> StateVector:
-    """Payload on qubit 0, entangled pair on qubits 1 (sender) and 2 (receiver)."""
+def _bell_frame(input_state: StateVector) -> StateVector:
+    """The payload on qubit 0 and the pair on qubits 1 and 2, rotated into the
+    joint-measurement frame: H(1), CNOT(1 -> 2) make the pair, then
+    CNOT(0 -> 1), H(0) turn the Bell basis of qubits 0 and 1 into the
+    computational one."""
     if input_state.n_qubits != 1:
         raise DomainError("teleportation sends exactly one qubit at a time")
     amps = np.zeros(8, dtype=complex)
     amps[0] = input_state.amplitudes[0]
     amps[1] = input_state.amplitudes[1]
     state = StateVector(3, amps)
-    return make_epr(state, 1, 2)
+    for gate in (h(1), cnot(1, 2), cnot(0, 1), h(0)):
+        state = apply_gate(state, gate)
+    return state
 
 
 def _receiver_state(amps: np.ndarray, bit_z: int, bit_x: int) -> np.ndarray:
@@ -116,8 +96,9 @@ def teleport_state(
     input_state: StateVector, rng: np.random.Generator
 ) -> tuple[TeleportTranscript, StateVector]:
     """Teleport a single-qubit state; returns the run record and the replica."""
-    state = _embed_with_pair(input_state)
-    outcome, state = bell_measure(state, 0, 1, rng)
+    rec_x, state = measure_qubit(_bell_frame(input_state), 1, rng)
+    rec_z, state = measure_qubit(state, 0, rng)
+    outcome = BellOutcome(bit_z=rec_z.outcome, bit_x=rec_x.outcome)
     bit_z, bit_x = outcome.bit_z, outcome.bit_x
     receiver = StateVector(1, _receiver_state(state.amplitudes, bit_z, bit_x))
     receiver = _correct(receiver, bit_z, bit_x)
@@ -132,9 +113,7 @@ def teleport_branches(input_state: StateVector) -> tuple[TeleportBranch, ...]:
     receiver's corrected state always matches the input, and the receiver's
     uncorrected states average to the maximally mixed state.
     """
-    state = _embed_with_pair(input_state)
-    state = apply_gate(state, cnot(0, 1))
-    state = apply_gate(state, h(0))
+    state = _bell_frame(input_state)
     branches = []
     for bit_z in (0, 1):
         for bit_x in (0, 1):

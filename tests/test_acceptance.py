@@ -196,7 +196,6 @@ def test_criterion_06_coin_flipping():
             session.rounds[-1] = coinflip.Trial(trial.p, trial.p_prime, flipped, trial.verdict)
         else:
             session.curve = ecurve.Curve(session.curve.a, -session.curve.b) if session.curve.b else ecurve.Curve(session.curve.a + 1, session.curve.b)
-            session._trace_cache.clear()
         if not coinflip.bob_verify(session).ok:
             tamper_rejected += 1
     rate = decided / trials

@@ -2,10 +2,11 @@
 library or the benchmark, unless it is named below as a test oracle or a
 model entry point. Names that only tests call belong in the tests.
 
-The same holds one level down: every defaulted parameter of a public
-function, method or class is set by some call in the library or the
-benchmark, unless it is named below. An option that only tests set is
-surface without a use."""
+The same holds one level down: every public method of a public class is
+called and every public property read in the library or the benchmark, and
+every defaulted parameter of a public function, method or class is set by
+some call there, unless it is named below. A member or an option that only
+tests use is surface without a use."""
 import ast
 import dataclasses
 import importlib
@@ -22,12 +23,17 @@ KEPT_WITHOUT_CALLER = {
     "bit_at",  # broadcast: one bit of the stream, the bits_range oracle
     "frobenius_trace",  # ecurve: a_p from a point count, the parity oracle
     "teleport_branches",  # teleport: all four outcomes of teleport_state
-    "int_to_bits",  # teleport: inverse of the bit order teleport_index uses
+    "int_to_bits",  # broadcast: inverse of the bit order teleport_index uses
     "step",  # qwalk: one validated walk step, the oracle for the walk loop
     # Entry points of the paper's models that no scenario runs yet.
     "crack_classic_dh",  # keyexchange: the eavesdropper who breaks classical DH
     "pq_candidate_keys",  # keyexchange: the eavesdropper's candidates in pq_dh
     "walk_agreement",  # qwalk: the walk-based key agreement
+}
+
+KEPT_UNUSED_MEMBERS = {
+    # The eavesdropper's view of a transcript, which the security tests assert on.
+    "Transcript.eve_view",
 }
 
 KEPT_UNSET_DEFAULTS = {
@@ -91,6 +97,39 @@ def public_api():
                 and obj.__module__ == module.__name__
             ):
                 yield f"{module_name}.{name}", name, obj
+
+
+def public_members():
+    """("Class.name", name, is_property) for each public method and property
+    of a public class."""
+    for _, class_name, cls in public_api():
+        if not inspect.isclass(cls):
+            continue
+        for name, value in vars(cls).items():
+            if name.startswith("_"):
+                continue
+            if isinstance(value, property):
+                yield f"{class_name}.{name}", name, True
+            elif inspect.isfunction(value) or isinstance(value, (staticmethod, classmethod)):
+                yield f"{class_name}.{name}", name, False
+
+
+def unused_members():
+    """"Class.name" for every public method that no code under src/ or
+    perfbench/ calls as `x.name(...)` and every public property that none
+    reads as `x.name`."""
+    called, read = set(), set()
+    for tree in library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {
+        qualified
+        for qualified, name, is_property in public_members()
+        if name not in (read if is_property else called)
+    }
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -171,6 +210,13 @@ def test_kept_names_exist():
     assert KEPT_WITHOUT_CALLER <= public
     # A kept name that has gained a caller no longer needs the exemption.
     assert KEPT_WITHOUT_CALLER & caller_names() == set()
+
+
+def test_every_public_member_is_used_or_kept_on_purpose():
+    unused = unused_members()
+    assert sorted(unused - KEPT_UNUSED_MEMBERS) == []
+    # Every kept entry still exists and still has no caller.
+    assert sorted(KEPT_UNUSED_MEMBERS - unused) == []
 
 
 def test_every_default_is_set_by_a_caller_or_kept_on_purpose():

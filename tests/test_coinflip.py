@@ -5,7 +5,7 @@ import pytest
 
 from qkeylab import coinflip
 from qkeylab.errors import DomainError, ResourceError
-from qkeylab.ecurve import Curve, splitting_degree, zeta_coefficients
+from qkeylab.ecurve import Curve, prime_coefficient, splitting_degree, zeta_coefficients
 from qkeylab.coinflip import (
     HEADS,
     MAX_COMMITMENT,
@@ -80,7 +80,7 @@ class TestTrials:
             if all(p % q for q in range(2, int(p**0.5) + 1)):
                 if session.curve.discriminant % p == 0:
                     continue
-                if session.trace_parity(p) == parity:
+                if prime_coefficient(session.curve, p) & 1 == parity:
                     return p
 
     def test_verdict_mapping(self):
@@ -113,6 +113,16 @@ class TestTrials:
             run_trial(session, 229, 227)
         with pytest.raises(DomainError):
             run_trial(session, 100, 227)  # below m
+
+    def test_trial_judges_with_the_current_curve(self):
+        # Curve (3, -3) has parities (0, 1) at (521, 523), curve (4, -3) has
+        # (1, 1): a trial after the curve is replaced reads the new curve.
+        session = alice_setup(256, 3, np.random.default_rng(5))
+        assert session.curve == Curve(3, -3)
+        assert run_trial(session, 521, 523).verdict == TAILS
+        session.curve = Curve(4, -3)
+        trial = run_trial(session, 521, 523)
+        assert trial.parities == (1, 1) and trial.verdict == RETRY
 
     def test_composite_challenge_rejected(self):
         session = make_session(Curve(0, -2), 64, 3)
@@ -179,6 +189,31 @@ class TestVerification:
         session = self.honest_session()
         session.B *= 8  # discriminant no longer lies in [B, 2B]
         assert not bob_verify(session).ok
+
+    @pytest.mark.parametrize(
+        "p, p_prime, bad_prime, reason",
+        [
+            (1572, 2447, False, "must be prime"),  # composite p
+            (1572, 2447, True, "must be prime"),  # a bad-prime claim at a composite p
+            (2447, 971, False, "m < p < p'"),  # swapped
+            (509, 2447, False, "m < p < p'"),  # prime, but not beyond m = 512
+        ],
+    )
+    def test_malformed_challenge_rejected_with_index(self, p, p_prime, bad_prime, reason):
+        # Seed 3 at B = 256 decides on its third trial; the second, at
+        # (971, 2447), is replaced by a challenge run_trial would refuse.
+        session = run_session(256, 3, 64, np.random.default_rng(3)).session
+        assert (session.m, session.rounds[1].p, session.rounds[1].p_prime) == (512, 971, 2447)
+        trial = session.rounds[1]
+        session.rounds[1] = (
+            Trial(p, p_prime, None, RETRY, bad_prime=True)
+            if bad_prime
+            else Trial(p, p_prime, trial.parities, trial.verdict)
+        )
+        result = bob_verify(session)
+        assert not result.ok
+        assert result.first_mismatch == 1
+        assert result.failure.startswith("trial 1: ") and reason in result.failure
 
 
 class TestSessions:

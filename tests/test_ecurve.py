@@ -8,6 +8,7 @@ from qkeylab import numtheory
 from qkeylab.numtheory import is_probable_prime, primes_up_to, smallest_prime_factors
 from qkeylab.ecurve import (
     _ZETA_MEMO,
+    _bad_prime_coefficient,
     _zeta_values,
     Curve,
     count_points,
@@ -30,6 +31,20 @@ def brute_count(a, b, p):
             if yv * yv % p == fx:
                 total += 1
     return total
+
+
+def scanned_bad_prime_coefficient(curve, p):
+    """The reduction-type coefficient at a bad prime p > 3 from an O(p) scan
+    for the singular point x0: 0 for a cusp (the other root -2x0 equals x0),
+    else the quadratic character of 3x0, whose square roots are the slopes
+    of the tangents at the node."""
+    x = np.arange(p, dtype=np.int64)
+    fx = ((x * x % p) * x + (curve.a % p) * x + curve.b % p) % p
+    dfx = (3 * (x * x % p) + curve.a % p) % p
+    (x0, *_) = np.nonzero((fx == 0) & (dfx == 0))[0].tolist()
+    if (-2 * x0) % p == x0:
+        return 0
+    return 1 if pow(3 * x0 % p, (p - 1) // 2, p) == 1 else -1
 
 
 def good_primes(curve, lo, hi):
@@ -154,13 +169,13 @@ def sample_curves(count=10):
 
 class TestZetaCoefficients:
     def test_normalization(self):
-        assert zeta_coefficients(Curve(1, 1), 1).a(1) == 1
+        assert zeta_coefficients(Curve(1, 1), 1).values[0] == 1
 
     def test_multiplicative_instances(self):
-        seq = zeta_coefficients(Curve(1, 1), 30)
-        assert seq.a(15) == seq.a(3) * seq.a(5)
-        assert seq.a(25) == seq.a(5) ** 2 - 5 * seq.a(1)
-        assert seq.a(12) == seq.a(4) * seq.a(3)
+        a = dict(enumerate(zeta_coefficients(Curve(1, 1), 30).values, start=1))
+        assert a[15] == a[3] * a[5]
+        assert a[25] == a[5] ** 2 - 5 * a[1]
+        assert a[12] == a[4] * a[3]
 
     def test_against_direct_recomputation(self):
         # Rebuild each a(n) from scratch out of prime coefficients, without
@@ -190,7 +205,7 @@ class TestZetaCoefficients:
         for curve in sample_curves():
             seq = zeta_coefficients(curve, 200)
             for n in range(1, 201):
-                assert seq.a(n) == direct(curve, n), (curve, n)
+                assert seq.values[n - 1] == direct(curve, n), (curve, n)
 
     def test_values_are_read_only(self):
         seq = zeta_coefficients(Curve(1, 1), 30)
@@ -214,7 +229,7 @@ class TestZetaCoefficients:
         curve = Curve(-2, 5)
         seq = zeta_coefficients(curve, 180)
         for p in good_primes(curve, 5, 180):
-            assert abs(seq.a(p)) <= 2 * math.sqrt(p)
+            assert abs(seq.values[p - 1]) <= 2 * math.sqrt(p)
 
     def test_bad_prime_reduction_types(self):
         # The naive affine count over F_p (singular point included) still obeys
@@ -227,6 +242,26 @@ class TestZetaCoefficients:
                 ap = prime_coefficient(curve, p)
                 assert ap in (-1, 0, 1)
                 assert ap == p + 1 - brute_count(curve.a, curve.b, p)
+
+    def test_bad_prime_closed_form_matches_scan(self):
+        # Every nonsingular curve with |a|, |b| <= 30 and 300 seeded curves
+        # with |a|, |b| < 10^6, at each of their bad primes 3 < p <= 5000.
+        rng = np.random.default_rng(11)
+        small = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
+        large = [tuple(int(v) for v in rng.integers(-10**6 + 1, 10**6, size=2)) for _ in range(300)]
+        primes = primes_up_to(5000)
+        primes = primes[primes > 3].tolist()
+        seen = set()
+        for a, b in small + large:
+            disc = 4 * a**3 + 27 * b**2
+            if disc == 0:
+                continue
+            curve = Curve(a, b)
+            for p in (p for p in primes if disc % p == 0):
+                ap = _bad_prime_coefficient(curve, p)
+                assert ap == scanned_bad_prime_coefficient(curve, p), (a, b, p)
+                seen.add(ap)
+        assert seen == {-1, 0, 1}  # split nodes, non-split nodes and cusps
 
     def test_additive_reduction_when_p_divides_both(self):
         curve = Curve(5, 25)  # disc = 4*125 + 27*625 = 17375 = 5^3 * 139
@@ -337,6 +372,6 @@ class TestSmallPrimeCoefficients:
         assert prime_coefficient(Curve(1, 1), 3) == 0
 
     def test_zeta_sequence_includes_small_primes(self):
-        seq = zeta_coefficients(Curve(1, 1), 12)
-        assert seq.a(2) == 0 and seq.a(3) == 0
-        assert seq.a(4) == seq.a(2) ** 2 - 2  # good-prime power recursion
+        a = dict(enumerate(zeta_coefficients(Curve(1, 1), 12).values, start=1))
+        assert a[2] == 0 and a[3] == 0
+        assert a[4] == a[2] ** 2 - 2  # good-prime power recursion

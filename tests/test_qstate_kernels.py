@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from qkeylab import qstate
-from qkeylab.errors import DomainError
 from qkeylab.qstate import StateVector, cnot, h, new_basis_state, phase, x, z
-from qkeylab.teleport import make_epr, teleport_branches, teleport_state
+from qkeylab.teleport import teleport_branches, teleport_state
 
 TOL = 1e-12
 
@@ -147,17 +146,3 @@ def test_teleported_receiver_is_the_sampled_branch_corrected():
         )
         seen.add((record.outcome.bit_z, record.outcome.bit_x))
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-
-@pytest.mark.parametrize("occupied", range(3))
-def test_make_epr_rejects_an_occupied_qubit_at_every_position(occupied):
-    for state in (
-        new_basis_state(3, 1 << occupied),
-        qstate.apply_gate(new_basis_state(3, 0), h(occupied)),
-    ):
-        for q1, q2 in itertools.permutations(range(3), 2):
-            if occupied in (q1, q2):
-                with pytest.raises(DomainError, match="must both be in"):
-                    make_epr(state, q1, q2)
-            else:
-                make_epr(state, q1, q2)

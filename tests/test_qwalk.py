@@ -18,7 +18,6 @@ from qkeylab.qwalk import (
     binary_tree_graph,
     cycle_graph,
     keyspace_grid_attack,
-    marked_walk,
     position_probabilities,
     scaling_sweep,
     search,
@@ -231,34 +230,32 @@ class TestStep:
             matrix = dense_step_matrix(g, marked)
             raw = rng.normal(size=g.n_arcs) + 1j * rng.normal(size=g.n_arcs)
             state = CoinedWalkState(raw / np.linalg.norm(raw))
-            stepped = step(state, g, marked_walk(g))
+            stepped = step(state, g)
             np.testing.assert_allclose(stepped.amplitudes, matrix @ state.amplitudes, atol=1e-12)
 
     def test_single_step_spreads_to_neighbors_only(self):
         g = cycle_graph(8)
-        stepped = step(localized_state(g, 0), g, marked_walk(g))
+        stepped = step(localized_state(g, 0), g)
         support = np.nonzero(np.abs(stepped.amplitudes) > 1e-12)[0]
         vertices = {int(g.arc_tail[arc]) for arc in support}
         assert vertices <= {1, 7}
 
     def test_locality_ball(self):
         for g in (cycle_graph(11), binary_tree_graph(3), torus_graph(25, marked={6})):
-            op = marked_walk(g)
             dist = bfs_distances(g, 0)
             state = localized_state(g, 0)
             for t in range(1, 5):
-                state = step(state, g, op)
+                state = step(state, g)
                 support = np.nonzero(np.abs(state.amplitudes) > 1e-12)[0]
                 assert all(dist[int(g.arc_tail[arc])] <= t for arc in support)
 
     def test_step_then_inverse_restores(self):
         rng = np.random.default_rng(5)
         g = torus_graph(16, marked={3})
-        op = marked_walk(g)
         raw = rng.normal(size=g.n_arcs) + 1j * rng.normal(size=g.n_arcs)
         state = CoinedWalkState(raw / np.linalg.norm(raw))
         inverse = dense_step_matrix(g, {3}).conj().T
-        back = inverse @ step(state, g, op).amplitudes
+        back = inverse @ step(state, g).amplitudes
         np.testing.assert_allclose(back, state.amplitudes, atol=1e-12)
 
     def test_unmarked_walk_fixes_uniform_state(self):
@@ -266,11 +263,10 @@ class TestStep:
         # permutes a constant vector, so the uniform state is stationary and
         # the position distribution never moves.
         for g in (cycle_graph(6), torus_graph(16), binary_tree_graph(3)):
-            op = marked_walk(g)
             start = uniform_superposition(g)
             state = start
             for _ in range(5):
-                state = step(state, g, op)
+                state = step(state, g)
             np.testing.assert_allclose(state.amplitudes, start.amplitudes, atol=1e-9)
             if np.all(g.arc_degrees == g.arc_degrees[0]):  # regular graphs only
                 np.testing.assert_allclose(
@@ -281,16 +277,15 @@ class TestStep:
 
     def test_norm_drift_over_thousand_steps(self):
         for g in (cycle_graph(9, marked={1}), torus_graph(16, marked={2}), binary_tree_graph(3, marked={5})):
-            op = marked_walk(g)
             state = uniform_superposition(g)
             for _ in range(1000):
-                state = step(state, g, op)
+                state = step(state, g)
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-9
 
     def test_dimension_mismatch_rejected(self):
         g = cycle_graph(4)
         with pytest.raises(DomainError):
-            step(uniform_superposition(cycle_graph(5)), g, marked_walk(g))
+            step(uniform_superposition(cycle_graph(5)), g)
 
 
 class TestSearch:
@@ -509,10 +504,9 @@ class TestWalkDistribution:
 
 def stepped_walk(graph, t_steps):
     """States at t = 0..t_steps from a loop of the validated step."""
-    operator = marked_walk(graph)
     states = [uniform_superposition(graph)]
     for _ in range(t_steps):
-        states.append(step(states[-1], graph, operator))
+        states.append(step(states[-1], graph))
     return states
 
 

@@ -2,18 +2,8 @@ import numpy as np
 import pytest
 
 from qkeylab.errors import DomainError
-from qkeylab import qstate
-from qkeylab.qstate import StateVector, fidelity, measure_qubit, new_basis_state
-from qkeylab.teleport import (
-    BellOutcome,
-    bell_measure,
-    make_epr,
-    teleport_branches,
-    teleport_index,
-    teleport_state,
-)
-
-INV_SQRT2 = 1 / np.sqrt(2)
+from qkeylab.qstate import StateVector, fidelity, new_basis_state
+from qkeylab.teleport import BellOutcome, teleport_branches, teleport_index, teleport_state
 
 
 def random_qubit(rng):
@@ -21,41 +11,11 @@ def random_qubit(rng):
     return StateVector(1, raw / np.linalg.norm(raw))
 
 
-class TestMakeEpr:
-    def test_pair_amplitudes(self):
-        paired = make_epr(new_basis_state(2, 0), 0, 1)
-        np.testing.assert_allclose(paired.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2])
-
-    def test_measurements_always_agree(self):
-        rng = np.random.default_rng(2)
-        paired = make_epr(new_basis_state(2, 0), 0, 1)
-        for _ in range(100):
-            first, rest = measure_qubit(paired, 0, rng)
-            second, _ = measure_qubit(rest, 1, rng)
-            assert first.outcome == second.outcome
-
-    def test_same_qubit_rejected(self):
-        with pytest.raises(DomainError):
-            make_epr(new_basis_state(2, 0), 1, 1)
-
-    def test_occupied_qubits_rejected(self):
-        with pytest.raises(DomainError):
-            make_epr(new_basis_state(2, 1), 0, 1)
-
-    def test_other_qubits_untouched(self):
-        sv = qstate.apply_gate(new_basis_state(3, 0), qstate.x(0))
-        paired = make_epr(sv, 1, 2)
-        # qubit 0 stays |1>: weight only on odd indices
-        idx = np.arange(8)
-        assert np.abs(paired.amplitudes[idx & 1 == 0]).max() < 1e-12
-
-
 class TestBellMeasure:
     def test_outcome_bits_are_binary(self):
         rng = np.random.default_rng(9)
-        state = make_epr(new_basis_state(3, 0), 1, 2)
-        outcome, _ = bell_measure(state, 0, 1, rng)
-        assert outcome.bit_z in (0, 1) and outcome.bit_x in (0, 1)
+        record, _ = teleport_state(new_basis_state(1, 0), rng)
+        assert record.outcome.bit_z in (0, 1) and record.outcome.bit_x in (0, 1)
 
     def test_deterministic_under_seed(self):
         def sequence(seed):
