@@ -153,10 +153,9 @@ def aligned_start_time(
 
 def bits_to_int(bits: np.ndarray) -> int:
     """Interpret a bit array as an integer, first element most significant."""
-    value = 0
-    for b in np.asarray(bits).tolist():
-        value = (value << 1) | int(b)
-    return value
+    bits = np.asarray(bits, dtype=np.uint8)
+    pad = -bits.size % 8  # packbits zero-fills the last byte on the right
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> pad
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:

@@ -21,6 +21,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from . import broadcast, coinflip, ecurve, keyexchange, qstate, qwalk, teleport
 from .clocksync import (
     MAX_SHOTS_PER_BIT,
+    MAX_SYNC_BITS,
     SYNC_N_BITS,
     SYNC_SHOTS_PER_BIT,
     SYNC_T_MAX_NS,
@@ -41,11 +43,6 @@ from .seeds import derive_rng, derive_seed
 ENV_MASTER_SEED = "QKEYLAB_MASTER_SEED"
 DEFAULT_MASTER_SEED = 12345
 MAX_WORKERS = 64
-_MAX_SYNC_BITS = 52  # a double resolves no finer rung of the offset ladder
-# The eve-qwalk key space at depth 16; walk time grows as N^1.5 (about 20 s
-# there on a 2-core VM).
-_MAX_VERTICES = 1 << 16
-_MAX_SEARCH_TRIALS = 1 << 22  # qwalk-search draws its samples as one int64 array
 
 _REQUIRED = object()
 
@@ -147,36 +144,37 @@ class RunReport:
 # -- trial fan-out -------------------------------------------------------------
 
 
-def _map_trials(worker, n_trials: int, config: ScenarioConfig):
+def _seeded_trial(trial, config: ScenarioConfig, i: int):
+    """trial(i, rng, params) on trial i's own generator, derived from the
+    master seed, the scenario name and i."""
+    rng = np.random.default_rng(derive_seed(config.master_seed, config.scenario, i))
+    return trial(i, rng, config.params)
+
+
+def _map_trials(trial, n_trials: int, config: ScenarioConfig):
     """Run trials serially or across at most n_trials processes; order is
     always by trial id."""
-    args = [
-        (i, derive_seed(config.master_seed, config.scenario, i), config.params)
-        for i in range(n_trials)
-    ]
+    run_trial = partial(_seeded_trial, trial, config)
     workers = min(config.workers, n_trials)
     if workers <= 1:
-        return [worker(a) for a in args]
+        return [run_trial(i) for i in range(n_trials)]
     chunk = max(1, n_trials // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, args, chunksize=chunk))
+        return list(pool.map(run_trial, range(n_trials), chunksize=chunk))
 
 
 # -- scenario: teleport-demo ---------------------------------------------------
 
 
-def _teleport_trial(args):
-    _, seed, _ = args
-    rng = np.random.default_rng(seed)
+def _teleport_trial(i, rng, p):
     raw = rng.normal(size=2) + 1j * rng.normal(size=2)
     state = qstate.StateVector(1, raw / np.linalg.norm(raw))
     record, _ = teleport.teleport_state(state, rng)
     return record.fidelity, record.outcome.bit_z, record.outcome.bit_x
 
 
-def _run_teleport_demo(config: ScenarioConfig) -> RunReport:
+def _run_teleport_demo(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
-    report = RunReport("teleport-demo")
     results = _map_trials(_teleport_trial, p["trials"], config)
     fidelities = np.array([r[0] for r in results])
     outcomes = [(bz, bx) for _, bz, bx in results]
@@ -191,22 +189,19 @@ def _run_teleport_demo(config: ScenarioConfig) -> RunReport:
     report.verdict("fidelity_floor", float(fidelities.min()) >= 1.0 - p["fidelity_tol"])
     if p["trials"] >= 1000:
         report.verdict("outcome_balance", balanced)
-    return report
 
 
 # -- scenario: clocksync -------------------------------------------------------
 
 
-def _clocksync_trial(args):
-    _, seed, p = args
-    rng = np.random.default_rng(seed)
+def _clocksync_trial(i, rng, p):
     span = p["delta_span"]
     true_delta = float(rng.uniform(-span, span) * p["t_max_ns"])
     result = ticking_qubit_sync(true_delta, p["n_bits"], p["t_max_ns"], p["shots_per_bit"], rng)
     return abs(result.delta_estimate_ns - true_delta)
 
 
-def _run_clocksync(config: ScenarioConfig) -> RunReport:
+def _run_clocksync(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
     if not p["t_max_ns"] > 0:
         raise ConfigError(f"t_max_ns must be > 0, got {p['t_max_ns']}")
@@ -214,7 +209,6 @@ def _run_clocksync(config: ScenarioConfig) -> RunReport:
         raise ConfigError(
             f"delta_span must be < 0.5 to keep offsets inside +-t_max_ns/2, got {p['delta_span']}"
         )
-    report = RunReport("clocksync")
     errors = np.array(_map_trials(_clocksync_trial, p["trials"], config))
     resolution = p["resolution_ns"]
     if resolution <= 0:
@@ -227,15 +221,12 @@ def _run_clocksync(config: ScenarioConfig) -> RunReport:
     report.stat("fraction_within_resolution", within)
     report.stat("qubits_per_trial", p["n_bits"] * p["shots_per_bit"])
     report.verdict("resolution_target", within >= p["pass_fraction"])
-    return report
 
 
 # -- scenario: dh --------------------------------------------------------------
 
 
-def _dh_instance(args):
-    _, seed, p = args
-    rng = np.random.default_rng(seed)
+def _dh_instance(i, rng, p):
     prime = keyexchange.random_prime(p["p_bits"], rng)
     g = 2 + random_below(prime - 3, rng)
     a = keyexchange.random_secret(prime, rng)
@@ -244,16 +235,15 @@ def _dh_instance(args):
     return result.agreed and result.key_a.reveal() == result.key_b.reveal()
 
 
-def _run_dh(config: ScenarioConfig) -> RunReport:
+def _run_dh(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
-    report = RunReport("dh")
     if p["instances"] > 0:
         agreements = _map_trials(_dh_instance, p["instances"], config)
         report.stat("instances", p["instances"])
         report.stat("all_agreed", all(agreements))
         report.verdict("agreement", all(agreements))
-        return report
-    rng = derive_rng(config.master_seed, "dh", "single")
+        return
+    rng = derive_rng(config.master_seed, config.scenario, "single")
     params = keyexchange.DhParams(p["p"], p["g"])
     a = keyexchange.random_secret(p["p"], rng)
     b = keyexchange.random_secret(p["p"], rng)
@@ -266,7 +256,6 @@ def _run_dh(config: ScenarioConfig) -> RunReport:
     report.stat("key_alice", result.key_a.render())
     report.stat("key_bob", result.key_b.render())
     report.verdict("agreement", agreed)
-    return report
 
 
 # -- scenarios: pqdh / private ---------------------------------------------------
@@ -303,9 +292,7 @@ def _session_window(alice, session_index: int, length: int) -> broadcast.KeyWind
     return broadcast.KeyWindow(base + 1e9 + session_index * 1e7, length)
 
 
-def _pqdh_session(args):
-    i, seed, p = args
-    rng = np.random.default_rng(seed)
+def _pqdh_session(i, rng, p):
     source, alice, bob, sync = _link(p)
     prime = keyexchange.random_prime(p["p_bits"], rng)
     a = keyexchange.random_secret(prime, rng)
@@ -324,10 +311,9 @@ def _pqdh_session(args):
     )
 
 
-def _run_pqdh(config: ScenarioConfig) -> RunReport:
+def _run_pqdh(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
     _check_sync_window(p)
-    report = RunReport("pqdh")
     results = _map_trials(_pqdh_session, p["sessions"], config)
     agreed = [r[0] for r in results]
     report.transcript_lines = results[0][4]
@@ -338,12 +324,9 @@ def _run_pqdh(config: ScenarioConfig) -> RunReport:
     report.stat("flip_retries", sum(r[3] for r in results))
     report.stat("key_render", results[0][5])
     report.verdict("agreement", all(agreed))
-    return report
 
 
-def _private_session(args):
-    i, seed, p = args
-    rng = np.random.default_rng(seed)
+def _private_session(i, rng, p):
     source, alice, bob, sync = _link(p)
     window = _session_window(alice, i, p["length_bits"])
     result = keyexchange.private_exchange(
@@ -356,10 +339,9 @@ def _private_session(args):
     return agreed, abs(result.sync_error_ns), lines, result.key_alice.render()
 
 
-def _run_private(config: ScenarioConfig) -> RunReport:
+def _run_private(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
     _check_sync_window(p)
-    report = RunReport("private")
     results = _map_trials(_private_session, p["sessions"], config)
     agreed = [r[0] for r in results]
     report.transcript_lines = results[0][2]
@@ -369,22 +351,18 @@ def _run_private(config: ScenarioConfig) -> RunReport:
     report.stat("max_abs_sync_error_ns", max(r[1] for r in results))
     report.stat("key_render", results[0][3])
     report.verdict("agreement", all(agreed))
-    return report
 
 
 # -- scenario: coinflip ----------------------------------------------------------
 
 
-def _coinflip_session(args):
-    _, seed, p = args
-    rng = np.random.default_rng(seed)
+def _coinflip_session(i, rng, p):
     result = coinflip.run_session(p["b"], p["k"], p["max_rounds"], rng, p["challenge_factor"])
     return result.verdict, result.n_trials, result.verified.ok
 
 
-def _run_coinflip(config: ScenarioConfig) -> RunReport:
+def _run_coinflip(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
-    report = RunReport("coinflip")
     results = _map_trials(_coinflip_session, p["sessions"], config)
     verdicts = [r[0] for r in results]
     total_trials = sum(r[1] for r in results)
@@ -405,15 +383,13 @@ def _run_coinflip(config: ScenarioConfig) -> RunReport:
             "decision_rate", abs(decided / total_trials - 4.0 / 9.0) <= p["rate_tol"]
         )
         report.verdict("heads_balance", abs(heads / decided - 0.5) <= p["heads_tol"])
-    return report
 
 
 # -- scenarios: density / prng ----------------------------------------------------
 
 
-def _run_density(config: ScenarioConfig) -> RunReport:
+def _run_density(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
-    report = RunReport("density")
     result = ecurve.parity_density_scan(ecurve.Curve(p["a"], p["b"]), p["x"])
     report.stat("a", p["a"])
     report.stat("b", p["b"])
@@ -426,12 +402,10 @@ def _run_density(config: ScenarioConfig) -> RunReport:
     report.stat("splitting_degree", ecurve.splitting_degree(p["a"], p["b"]))
     if p["target"] >= 0:
         report.verdict("density_target", abs(result.even_fraction - p["target"]) <= p["tol"])
-    return report
 
 
-def _run_prng(config: ScenarioConfig) -> RunReport:
+def _run_prng(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
-    report = RunReport("prng")
     curve = ecurve.select_curve(p["prng_seed"])
     bits = ecurve.parity_prng(p["prng_seed"], p["bits"], curve)
     zero_fraction = float((bits == 0).mean())
@@ -443,7 +417,6 @@ def _run_prng(config: ScenarioConfig) -> RunReport:
     report.stat("bits_hex", broadcast.bits_to_hex(bits))
     if p["bits"] >= 1000:
         report.verdict("zero_target", abs(zero_fraction - 2.0 / 3.0) <= p["tol"])
-    return report
 
 
 # -- scenarios: qwalk search / sweep ----------------------------------------------
@@ -466,15 +439,14 @@ def _build_walk_graph(p, rng):
     return _WALK_GRAPHS[p["graph"]](size, marked={marked})
 
 
-def _run_qwalk_search(config: ScenarioConfig) -> RunReport:
+def _run_qwalk_search(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
-    report = RunReport("qwalk-search")
-    rng = derive_rng(config.master_seed, "qwalk-search", "graph")
+    rng = derive_rng(config.master_seed, config.scenario, "graph")
     graph = _build_walk_graph(p, rng)
     t_steps = p["t"]
     if t_steps < 0:
         t_steps = qwalk.sweep_step_cap(graph.n_vertices)
-    sampler = derive_rng(config.master_seed, "qwalk-search", "sample")
+    sampler = derive_rng(config.master_seed, config.scenario, "sample")
     result = qwalk.search(graph, t_steps, sampler, p["trials"])
     exact, hit_rate = result.exact_success_probability, result.success_rate
     sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / p["trials"])
@@ -486,12 +458,10 @@ def _run_qwalk_search(config: ScenarioConfig) -> RunReport:
     report.stat("sampled_success_rate", hit_rate)
     report.stat("trials", p["trials"])
     report.verdict("sampling_consistency", abs(hit_rate - exact) <= 3 * sigma + 1e-9)
-    return report
 
 
-def _run_qwalk_sweep(config: ScenarioConfig) -> RunReport:
+def _run_qwalk_sweep(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
-    report = RunReport("qwalk-sweep")
     points = qwalk.scaling_sweep(p["sizes"], p["cap_factor"])
     scaled = []
     for point in points:
@@ -502,15 +472,12 @@ def _run_qwalk_sweep(config: ScenarioConfig) -> RunReport:
         report.stat(f"n{point.n_vertices}_p_star_log2n", c)
     if len(scaled) >= 2:
         report.verdict("scaling_floor", min(scaled) >= scaled[0] / 2)
-    return report
 
 
 # -- scenarios: bounded-storage Eve / walk Eve --------------------------------------
 
 
-def _eve_storage_trial(args):
-    _, seed, p = args
-    rng = np.random.default_rng(seed)
+def _eve_storage_trial(i, rng, p):
     source = broadcast.BroadcastSource(seed=p["broadcast_seed"], bitrate=1e6)
     target = broadcast.Receiver("target", 0.0, Clock(0.0))
     start_index = p["span_start"] + (p["span"] - p["length"]) // 2
@@ -522,9 +489,8 @@ def _eve_storage_trial(args):
     return recovery.known_bits, recovery.known_bits == p["length"]
 
 
-def _run_eve_bounded_storage(config: ScenarioConfig) -> RunReport:
+def _run_eve_bounded_storage(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
-    report = RunReport("eve-bounded-storage")
     results = _map_trials(_eve_storage_trial, p["trials"], config)
     known = np.array([r[0] for r in results], dtype=float)
     full_rate = float(np.mean([r[1] for r in results]))
@@ -550,12 +516,10 @@ def _run_eve_bounded_storage(config: ScenarioConfig) -> RunReport:
             report.verdict(
                 "full_recovery", abs(full_rate - full_expected) <= 3 * full_sigma + 1e-12
             )
-    return report
 
 
-def _run_eve_qwalk(config: ScenarioConfig) -> RunReport:
+def _run_eve_qwalk(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
-    report = RunReport("eve-qwalk")
     attack = qwalk.keyspace_grid_attack(0, p["depth"], p["cap_factor"])
     report.stat("key_bits", p["depth"])
     report.stat("keyspace_size", attack.keyspace_size)
@@ -565,7 +529,6 @@ def _run_eve_qwalk(config: ScenarioConfig) -> RunReport:
     report.stat(
         "step_bound", qwalk.sweep_step_cap(attack.keyspace_size, p["cap_factor"])
     )
-    return report
 
 
 # -- schemas and dispatch ------------------------------------------------------------
@@ -584,7 +547,7 @@ _LINK_FIELDS = {
     "distance_b_m": FieldSpec(_finite_float, 299792.458, "satellite distance, second party"),
     "offset_a_ns": FieldSpec(_finite_float, 0.0, "first party clock offset"),
     "offset_b_ns": FieldSpec(_finite_float, 40000.0, "second party clock offset"),
-    "sync_n_bits": FieldSpec(int, SYNC_N_BITS, "clock-sync ladder depth", 1, _MAX_SYNC_BITS),
+    "sync_n_bits": FieldSpec(int, SYNC_N_BITS, "clock-sync ladder depth", 1, MAX_SYNC_BITS),
     "sync_t_max_ns": FieldSpec(_finite_float, SYNC_T_MAX_NS, "clock-sync unambiguous window"),
     "sync_shots_per_bit": FieldSpec(
         int, SYNC_SHOTS_PER_BIT, "measurements per ladder rung", 2, MAX_SHOTS_PER_BIT
@@ -603,7 +566,7 @@ SCENARIOS: dict = {
     "clocksync": (
         {
             "trials": FieldSpec(int, 200, "number of sync runs", 1),
-            "n_bits": FieldSpec(int, SYNC_N_BITS, "offset digits to resolve", 1, _MAX_SYNC_BITS),
+            "n_bits": FieldSpec(int, SYNC_N_BITS, "offset digits to resolve", 1, MAX_SYNC_BITS),
             "t_max_ns": FieldSpec(_finite_float, SYNC_T_MAX_NS, "unambiguous offset window"),
             "shots_per_bit": FieldSpec(
                 int, SYNC_SHOTS_PER_BIT, "measurements per rung", 2, MAX_SHOTS_PER_BIT
@@ -674,17 +637,19 @@ SCENARIOS: dict = {
     "qwalk-search": (
         {
             "graph": FieldSpec(str, "torus", "torus, cycle or tree", choices=tuple(_WALK_GRAPHS)),
-            "n": FieldSpec(int, 16, "vertex count (torus/cycle)", 3, _MAX_VERTICES),
+            "n": FieldSpec(int, 16, "vertex count (torus/cycle)", 3, qwalk.MAX_VERTICES),
             "depth": FieldSpec(int, 3, "tree depth (tree)", 1, 15),
             "t": FieldSpec(int, -1, "walk steps (<0: 4*sqrt(N log2 N))", None, qwalk.MAX_WALK_STEPS),
             "marked": FieldSpec(int, -1, "marked vertex (<0: seeded choice)"),
-            "trials": FieldSpec(int, 2000, "sampled measurements", 1, _MAX_SEARCH_TRIALS),
+            "trials": FieldSpec(int, 2000, "sampled measurements", 1, qwalk.MAX_SEARCH_TRIALS),
         },
         _run_qwalk_search,
     ),
     "qwalk-sweep": (
         {
-            "sizes": FieldSpec(_int_list, (16, 64, 256), "comma-separated sizes", 9, _MAX_VERTICES),
+            "sizes": FieldSpec(
+                _int_list, (16, 64, 256), "comma-separated sizes", 9, qwalk.MAX_VERTICES
+            ),
             "cap_factor": FieldSpec(_finite_float, 4.0, "step cap multiplier", 0.0, 16.0),
         },
         _run_qwalk_sweep,
@@ -770,9 +735,11 @@ def build_config(
 
 
 def run(config: ScenarioConfig) -> RunReport:
-    """Dispatch to the scenario runner and echo the effective parameters."""
+    """Dispatch to the scenario runner, which fills in the report, and echo
+    the effective parameters."""
     schema, runner = SCENARIOS[config.scenario]
-    report = runner(config)
+    report = RunReport(config.scenario)
+    runner(config, report)
     report.params = [("master_seed", _fmt(config.master_seed))] + [
         (name, _fmt(config.params[name])) for name in schema
     ]

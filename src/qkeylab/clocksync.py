@@ -32,6 +32,7 @@ SYNC_T_MAX_NS = 1.6384e6
 SYNC_SHOTS_PER_BIT = 100
 # Each rung draws its shots as one float64 array of this length.
 MAX_SHOTS_PER_BIT = 1 << 20
+MAX_SYNC_BITS = 52  # a double resolves no finer rung of the offset ladder
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,15 @@ def ticking_qubit_sync(
     """
     if n_bits < 1:
         raise DomainError(f"need n_bits >= 1, got {n_bits}")
+    if n_bits > MAX_SYNC_BITS:
+        raise DomainError(f"{n_bits} ladder rungs exceed the cap {MAX_SYNC_BITS}")
     if shots_per_bit < 2:
         raise DomainError(f"need shots_per_bit >= 2, got {shots_per_bit}")
     if shots_per_bit > MAX_SHOTS_PER_BIT:
         raise ResourceError(f"{shots_per_bit} shots per rung exceed the cap {MAX_SHOTS_PER_BIT}")
-    if not (t_max_ns > 0 and abs(true_delta_ns) < t_max_ns / 2):
+    if not 0 < t_max_ns < math.inf:
+        raise DomainError(f"t_max_ns must be positive and finite, got {t_max_ns}")
+    if not abs(true_delta_ns) < t_max_ns / 2:
         raise DomainError(
             f"offset {true_delta_ns} ns outside the resolvable window +-{t_max_ns / 2} ns"
         )

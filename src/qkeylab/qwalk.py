@@ -32,15 +32,20 @@ from .broadcast import (
     Receiver,
     aligned_start_time,
     extract_key,
+    int_to_bits,
 )
 from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS
 from .errors import DomainError, ResourceError
 from .keyexchange import run_clock_sync, teleport_secret_int
 from .transcript import Transcript, text_payload
 
-# The most steps a walk may take: sweep_step_cap(2**16, 16.0), the largest
-# cap the sweep and the keyspace attack can ask for.
+# The largest graph a builder makes: the eve-qwalk key space at depth 16.
+# Walk time grows as N^1.5 (about 20 s there on a 2-core VM).
+MAX_VERTICES = 1 << 16
+# The most steps a walk may take: sweep_step_cap(MAX_VERTICES, 16.0), the
+# largest cap the sweep and the keyspace attack can ask for.
 MAX_WALK_STEPS = 1 << 14
+MAX_SEARCH_TRIALS = 1 << 22  # search draws its samples as one int64 array
 
 
 class Graph:
@@ -98,8 +103,14 @@ class Graph:
         self.marked_arcs = np.flatnonzero(np.isin(tail, list(self.marked)))
 
 
+def _check_vertices(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ResourceError(f"{n} vertices exceed the cap {MAX_VERTICES}")
+
+
 def cycle_graph(n: int, marked=()) -> Graph:
     """n-cycle; neighbor order +1, -1."""
+    _check_vertices(n)
     if n < 3:
         raise DomainError(f"cycle needs >= 3 vertices, got {n}")
     v = np.arange(n)
@@ -109,6 +120,7 @@ def cycle_graph(n: int, marked=()) -> Graph:
 
 def torus_graph(n: int, marked=()) -> Graph:
     """sqrt(n) x sqrt(n) grid with wraparound; neighbor order +x, -x, +y, -y."""
+    _check_vertices(n)
     side = math.isqrt(n)
     if side * side != n:
         raise DomainError(f"torus needs a perfect-square vertex count, got {n}")
@@ -127,6 +139,9 @@ def binary_tree_graph(depth: int, marked=()) -> Graph:
     order parent, left child, right child."""
     if depth < 1:
         raise DomainError(f"tree depth must be >= 1, got {depth}")
+    # 2^(depth+1) - 1 vertices; the first test keeps the shift small.
+    if depth >= MAX_VERTICES.bit_length() or (1 << (depth + 1)) - 1 > MAX_VERTICES:
+        raise ResourceError(f"a depth-{depth} tree exceeds the cap of {MAX_VERTICES} vertices")
     n = (1 << (depth + 1)) - 1
     child = np.arange(1, n)
     parent = (child - 1) // 2
@@ -230,6 +245,8 @@ def search(graph: Graph, t_steps: int, rng: np.random.Generator, trials: int) ->
         raise DomainError("search needs at least one marked vertex")
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
+    if trials > MAX_SEARCH_TRIALS:
+        raise ResourceError(f"{trials} trials exceed the cap {MAX_SEARCH_TRIALS}")
     marked = sorted(graph.marked)
     probs = walk_distribution(graph, t_steps)
     vertices = rng.choice(graph.n_vertices, size=trials, p=probs / probs.sum())
@@ -298,12 +315,7 @@ def tree_walk_key(stream_bits: np.ndarray, operator_seed: int, depth: int) -> np
     stream_bits = np.asarray(stream_bits, dtype=np.uint8)
     if stream_bits.size < depth:
         raise DomainError(f"stream exhausted: need {depth} bits, have {stream_bits.size}")
-    if not 0 <= operator_seed < (1 << depth):
-        raise DomainError(f"operator seed {operator_seed} does not fit in {depth} bits")
-    seed_bits = np.array(
-        [(operator_seed >> (depth - 1 - i)) & 1 for i in range(depth)], dtype=np.uint8
-    )
-    return stream_bits[:depth] ^ seed_bits
+    return stream_bits[:depth] ^ int_to_bits(operator_seed, depth)
 
 
 @dataclass(frozen=True)
@@ -322,19 +334,17 @@ def walk_agreement(
     source: BroadcastSource,
     window: KeyWindow,
     rng: np.random.Generator,
-    sync_n_bits: int = SYNC_N_BITS,
-    sync_t_max_ns: float = SYNC_T_MAX_NS,
-    sync_shots_per_bit: int = SYNC_SHOTS_PER_BIT,
 ) -> WalkAgreementResult:
     """Both parties tree-walk the same broadcast window with a teleported seed.
 
     The walk depth equals the window length; the start time and depth are
-    public, the operator seed rides the teleportation channel only.
+    public, the operator seed rides the teleportation channel only. The
+    clock sync runs the default ladder of the broadcast protocols (`SYNC_*`).
     """
     depth = window.length
     transcript = Transcript()
     sync = run_clock_sync(
-        alice, bob, rng, transcript, sync_n_bits, sync_t_max_ns, sync_shots_per_bit
+        alice, bob, rng, transcript, SYNC_N_BITS, SYNC_T_MAX_NS, SYNC_SHOTS_PER_BIT
     )
     delay_gap_ns = bob.propagation_delay_ns - alice.propagation_delay_ns
     t_alice = aligned_start_time(source, alice, window.start_local_time_ns)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .broadcast import bits_to_hex
 from .errors import DomainError, LifecycleError
 
 CHANNELS = ("public", "broadcast", "quantum")
@@ -68,10 +69,6 @@ def text_payload(text: str) -> bytes:
     return text.encode()
 
 
-def bits_payload(bits: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
 class SharedKey:
     """Key material that may be revealed exactly once, then vanishes.
 
@@ -102,7 +99,7 @@ class SharedKey:
             return "<vanished>"
         if isinstance(self._payload, (int, np.integer)):
             return int_payload(int(self._payload)).hex()
-        return bits_payload(self._payload).hex()
+        return bits_to_hex(self._payload)
 
     def __repr__(self):
         return f"SharedKey({self.lifecycle})"

@@ -23,7 +23,6 @@ KEPT_WITHOUT_CALLER = {
     "bit_at",  # broadcast: one bit of the stream, the bits_range oracle
     "frobenius_trace",  # ecurve: a_p from a point count, the parity oracle
     "teleport_branches",  # teleport: all four outcomes of teleport_state
-    "int_to_bits",  # broadcast: inverse of the bit order teleport_index uses
     "step",  # qwalk: one validated walk step, the oracle for the walk loop
     # Entry points of the paper's models that no scenario runs yet.
     "crack_classic_dh",  # keyexchange: the eavesdropper who breaks classical DH
@@ -38,11 +37,6 @@ KEPT_UNUSED_MEMBERS = {
 
 KEPT_UNSET_DEFAULTS = {
     "main.argv",  # cli: the console entry point passes nothing and reads sys.argv
-    # walk_agreement has no caller (above); test_cli pins these three to the
-    # clock-sync ladder that pq_dh and private_exchange share.
-    "walk_agreement.sync_n_bits",
-    "walk_agreement.sync_t_max_ns",
-    "walk_agreement.sync_shots_per_bit",
 }
 
 

@@ -23,6 +23,14 @@ from qkeylab.broadcast import (
 SOURCE = BroadcastSource(seed=0xDEADBEEF, bitrate=1e6)
 
 
+def shift_in_bits(bits):
+    """bits_to_int oracle: one shift-and-or per bit."""
+    value = 0
+    for b in np.asarray(bits).tolist():
+        value = (value << 1) | int(b)
+    return value
+
+
 def receiver(label="alice", distance_m=0.0, offset_ns=0.0):
     return Receiver(label, distance_m, Clock(offset_ns))
 
@@ -255,7 +263,18 @@ class TestBitPlumbing:
 
     def test_known_conversion(self):
         assert bits_to_int(np.array([1, 0, 1, 1], dtype=np.uint8)) == 11
+        assert bits_to_int(np.array([], dtype=np.uint8)) == 0
         assert int_to_bits(11, 4).tolist() == [1, 0, 1, 1]
+
+    def test_bits_to_int_matches_shift_oracle(self):
+        rng = np.random.default_rng(5)
+        for width in [*range(1, 71), 1 << 16]:
+            for bits in (
+                rng.integers(0, 2, width, dtype=np.uint8),
+                np.ones(width, dtype=np.uint8),
+                np.eye(1, width, dtype=np.uint8)[0],  # only the top bit set
+            ):
+                assert bits_to_int(bits) == shift_in_bits(bits)
 
     def test_hex_rendering(self):
         assert bits_to_hex(np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)) == "f0"

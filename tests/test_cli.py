@@ -535,6 +535,6 @@ def test_sync_ladder_defaults_named_once():
     expected = (clocksync.SYNC_N_BITS, clocksync.SYNC_T_MAX_NS, clocksync.SYNC_SHOTS_PER_BIT)
     assert expected == (14, 1.6384e6, 100)
     names = ("sync_n_bits", "sync_t_max_ns", "sync_shots_per_bit")
-    for fn in (keyexchange.pq_dh, keyexchange.private_exchange, qwalk.walk_agreement):
+    for fn in (keyexchange.pq_dh, keyexchange.private_exchange):
         params = inspect.signature(fn).parameters
         assert tuple(params[name].default for name in names) == expected

@@ -1,9 +1,11 @@
-"""Size caps on primes, stream reads, storage spans and sync shots, and the
-stream-position check on receiver geometry."""
+"""Size caps on primes, stream reads, storage spans, sync ladders, walk
+graphs and searches, and the stream-position check on receiver geometry."""
+import math
+
 import numpy as np
 import pytest
 
-from qkeylab import broadcast, clocksync, numtheory
+from qkeylab import broadcast, clocksync, numtheory, qwalk
 from qkeylab.broadcast import (
     BroadcastSource,
     KeyWindow,
@@ -44,6 +46,51 @@ def test_random_prime_cap_fires_before_drawing():
 def test_sync_shot_cap_fires_before_drawing():
     with pytest.raises(ResourceError, match="cap"):
         ticking_qubit_sync(0.0, 4, 1e6, clocksync.MAX_SHOTS_PER_BIT + 1, RefusingGenerator())
+
+
+@pytest.mark.parametrize(
+    "n_bits,t_max_ns",
+    [
+        (clocksync.MAX_SYNC_BITS + 1, 1e6),
+        (1100, 1e6),  # 2^1100 overflows to an infinite rung frequency
+        (14, math.inf),
+        (14, math.nan),
+    ],
+)
+def test_sync_ladder_limits_fire_before_drawing(n_bits, t_max_ns):
+    with pytest.raises(DomainError):
+        ticking_qubit_sync(0.0, n_bits, t_max_ns, 100, RefusingGenerator())
+
+
+def test_sync_ladder_runs_at_its_cap():
+    rng = np.random.default_rng(3)
+    result = ticking_qubit_sync(1e3, clocksync.MAX_SYNC_BITS, 1e6, 2, rng)
+    assert math.isfinite(result.delta_estimate_ns)
+
+
+def test_walk_caps_fire_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started past the cap")
+
+    n = qwalk.MAX_VERTICES
+    too_big = [
+        (qwalk.cycle_graph, n + 1),
+        (qwalk.torus_graph, (math.isqrt(n) + 1) ** 2),
+        (qwalk.binary_tree_graph, 16),  # 2^17 - 1 vertices
+        (qwalk.binary_tree_graph, 10**9),
+    ]
+    with monkeypatch.context() as patched:
+        patched.setattr(qwalk.np, "arange", refuse)
+        for build, size in too_big:
+            with pytest.raises(ResourceError, match="cap"):
+                build(size)
+    assert qwalk.cycle_graph(n).n_vertices == n
+    assert qwalk.torus_graph(n).n_vertices == n
+    assert qwalk.binary_tree_graph(15).n_vertices == n - 1
+    graph = qwalk.cycle_graph(5, marked={1})
+    monkeypatch.setattr(qwalk, "walk_distribution", refuse)
+    with pytest.raises(ResourceError, match="cap"):
+        qwalk.search(graph, 4, RefusingGenerator(), qwalk.MAX_SEARCH_TRIALS + 1)
 
 
 def test_storage_span_cap_fires_before_drawing():

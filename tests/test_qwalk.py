@@ -477,7 +477,7 @@ class TestWalkDistribution:
         assert result.exact_success_probability == float(probs[[9]].sum())
 
     def test_step_cap_is_the_largest_sweep_cap(self):
-        assert MAX_WALK_STEPS == sweep_step_cap(2**16, 16.0)
+        assert MAX_WALK_STEPS == sweep_step_cap(qwalk.MAX_VERTICES, 16.0)
         g = cycle_graph(5, marked={1})
         assert walk_distribution(g, MAX_WALK_STEPS).sum() == pytest.approx(1.0)
         assert success_probability_trace(g, MAX_WALK_STEPS).shape == (MAX_WALK_STEPS + 1,)
