@@ -7,12 +7,12 @@ d * N. One step applies the coin - the degree-d diffusion operator
 2/d * J - I at unmarked vertices, -I at marked ones - then the flip-flop
 shift, which moves each arc onto its reversal. Both factors are involutions,
 so the inverse step is shift-then-coin. A `Graph` carries the whole operator:
-the per-vertex coin factors 2/d, the marked vertices' arcs and the reversal.
+the per-vertex coin factors (2/d, 0 where marked), the marked arcs and the reversal.
 
-`walk_distribution` and `success_probability_trace` share one walk loop on
-plain amplitude arrays: the state is validated on entry and on exit, not at
-each step, and the trace reads only the marked vertices' arcs at each step.
-`step` is the validated single step that the loop is tested against.
+`walk_distribution` and `success_probability_trace` share one walk loop,
+validated on entry and exit only, whose trace reads only the marked arcs. It
+runs on float64: the coin is real, the shift permutes and the start is
+uniform, so the complex walk's amplitudes are exactly these real ones.
 
 On a torus grid with a single marked vertex this walk finds the mark in
 O(sqrt(N log N)) steps with success probability Omega(1/log N); the
@@ -40,12 +40,15 @@ from .keyexchange import run_clock_sync, teleport_secret_int
 from .transcript import Transcript, text_payload
 
 # The largest graph a builder makes: the eve-qwalk key space at depth 16.
-# Walk time grows as N^1.5 (about 20 s there on a 2-core VM).
+# Walk time grows as N^1.5 (eve-qwalk --depth 16: 6.6-7.0 s on a 2-core VM).
 MAX_VERTICES = 1 << 16
 # The most steps a walk may take: sweep_step_cap(MAX_VERTICES, 16.0), the
 # largest cap the sweep and the keyspace attack can ask for.
 MAX_WALK_STEPS = 1 << 14
 MAX_SEARCH_TRIALS = 1 << 22  # search draws its samples as one int64 array
+# The most sizes one scaling sweep takes: each may cost up to a 2^16-vertex
+# walk of MAX_WALK_STEPS steps, so this bounds the whole sweep too.
+MAX_SWEEP_SIZES = 16
 
 
 class Graph:
@@ -55,8 +58,9 @@ class Graph:
     in vertex order, and each vertex's arcs keep its neighbor order, which
     fixes the order in which the coin sums a block. Every edge is listed once
     in each direction; arc_reversal maps each arc to its reverse, which is
-    the walk's shift. coin_factor (2/deg(v) per vertex) and marked_arcs (the
-    arcs whose tail is marked, in arc order) are its coin.
+    the walk's shift. coin_factor is its coin: 2/deg(v), or 0 at a marked
+    vertex, whose coin term 0 * sum - a is -a. marked_arcs (the arcs whose
+    tail is marked, in arc order) are the arcs the success trace reads.
     """
 
     def __init__(self, n_vertices: int, arc_tail, arc_head, marked=()):
@@ -100,6 +104,7 @@ class Graph:
         self.arc_offsets = np.concatenate(([0], np.cumsum(degrees)[:-1]))
         self.arc_reversal = order[found]
         self.coin_factor = 2.0 / degrees
+        self.coin_factor[list(self.marked)] = 0.0
         self.marked_arcs = np.flatnonzero(np.isin(tail, list(self.marked)))
 
 
@@ -178,12 +183,11 @@ def _apply_coin(amps: np.ndarray, graph: Graph) -> np.ndarray:
     block_sums = np.add.reduceat(amps, graph.arc_offsets)
     coined = np.repeat(graph.coin_factor * block_sums, graph.arc_degrees)
     coined -= amps
-    coined[graph.marked_arcs] = -amps[graph.marked_arcs]
     return coined
 
 
 def step(state: CoinedWalkState, graph: Graph) -> CoinedWalkState:
-    """Apply one walk step: conditional coin, then flip-flop shift."""
+    """One validated coin-then-shift step of a complex state: the walk loop's oracle."""
     amps = state.amplitudes
     if amps.shape != (graph.n_arcs,):
         raise DomainError(f"state has {amps.shape} amplitudes, graph has {graph.n_arcs} arcs")
@@ -205,18 +209,17 @@ def _check_steps(t_steps: int) -> None:
 def _walk(
     graph: Graph, t_steps: int, watch_marked: bool = False
 ) -> tuple[CoinedWalkState, np.ndarray]:
-    """t_steps of the marked walk from the uniform state.
+    """t_steps of the marked walk from the uniform state, on float64 arrays.
 
-    Returns the final state and, with watch_marked, the amplitudes of the
-    marked vertices' arcs (in arc order) at t = 0..t_steps, one row per t;
-    without it, rows of no arcs. The step count is checked before the first
-    step and the norm on entry and on the final state; the steps in between
-    run on plain arrays.
+    Returns the final state and, with watch_marked, the marked vertices' arc
+    amplitudes (in arc order) at t = 0..t_steps, one row per t; without it,
+    rows of no arcs. The step count is checked before the first step and the
+    norm on entry and on the final state.
     """
     _check_steps(t_steps)
     watched = graph.marked_arcs if watch_marked else graph.marked_arcs[:0]
-    amps = uniform_superposition(graph).amplitudes
-    watched_amps = np.empty((t_steps + 1, watched.size), dtype=complex)
+    amps = uniform_superposition(graph).amplitudes.real.copy()
+    watched_amps = np.empty((t_steps + 1, watched.size))
     watched_amps[0] = amps[watched]
     for t in range(1, t_steps + 1):
         amps = _apply_coin(amps, graph).take(graph.arc_reversal)
@@ -262,7 +265,7 @@ def success_probability_trace(graph: Graph, t_limit: int) -> np.ndarray:
     """Exact success probability after t = 0..t_limit steps (no sampling).
 
     Holds the marked vertices' arc amplitudes for every t: (t_limit + 1) x
-    (arcs at marked vertices) complex values.
+    (arcs at marked vertices) real float64 values (see the module docstring).
     """
     if not graph.marked:
         raise DomainError("trace needs at least one marked vertex")
@@ -294,6 +297,8 @@ def scaling_sweep(sizes, cap_factor: float = 4.0) -> list[SweepPoint]:
     torus is vertex-transitive and every vertex lists its neighbours in the
     same order, so the trace does not depend on the mark: vertex 0 is marked.
     """
+    if len(sizes) > MAX_SWEEP_SIZES:
+        raise ResourceError(f"{len(sizes)} sweep sizes exceed the cap {MAX_SWEEP_SIZES}")
     points = []
     for n in sizes:
         graph = torus_graph(n, marked={0})

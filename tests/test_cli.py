@@ -248,6 +248,7 @@ CONTRACT_CASES = [
 WALK_CAP_CASES = [
     ["qwalk-search", "--trials", "1000000000000"],
     ["qwalk-search", "--t", "100000000"],
+    ["qwalk-sweep", "--sizes", ",".join(["16"] * (qwalk.MAX_SWEEP_SIZES + 1))],
 ]
 CAP_CASES = [
     ["density", "--a", "0", "--b", "-2", "--x", str(ecurve.MAX_SCAN + 1)],
@@ -390,6 +391,7 @@ class TestInputContract:
             (coinflip, "primes_up_to"),
             (coinflip, "zeta_coefficients"),
             (qwalk, "walk_distribution"),
+            (qwalk, "success_probability_trace"),
         ):
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 2

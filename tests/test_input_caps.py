@@ -1,5 +1,6 @@
 """Size caps on primes, stream reads, storage spans, sync ladders, walk
-graphs and searches, and the stream-position check on receiver geometry."""
+graphs, searches and sweeps, and the stream-position check on receiver
+geometry."""
 import math
 
 import numpy as np
@@ -91,6 +92,20 @@ def test_walk_caps_fire_before_allocating(monkeypatch):
     monkeypatch.setattr(qwalk, "walk_distribution", refuse)
     with pytest.raises(ResourceError, match="cap"):
         qwalk.search(graph, 4, RefusingGenerator(), qwalk.MAX_SEARCH_TRIALS + 1)
+
+
+def test_sweep_size_count_cap_fires_before_any_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk started past the cap")
+
+    sizes = [qwalk.MAX_VERTICES] * (qwalk.MAX_SWEEP_SIZES + 1)
+    with monkeypatch.context() as patched:
+        patched.setattr(qwalk, "torus_graph", refuse)
+        patched.setattr(qwalk, "success_probability_trace", refuse)
+        with pytest.raises(ResourceError, match="cap"):
+            qwalk.scaling_sweep(sizes, 16.0)
+    points = qwalk.scaling_sweep([9] * qwalk.MAX_SWEEP_SIZES)
+    assert len(points) == qwalk.MAX_SWEEP_SIZES
 
 
 def test_storage_span_cap_fires_before_drawing():

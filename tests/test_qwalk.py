@@ -503,15 +503,18 @@ class TestWalkDistribution:
 
 
 def stepped_walk(graph, t_steps):
-    """States at t = 0..t_steps from a loop of the validated step."""
-    states = [uniform_superposition(graph)]
+    """States at t = 0..t_steps from a loop of the validated complex step."""
+    state = uniform_superposition(graph)
+    yield state
     for _ in range(t_steps):
-        states.append(step(states[-1], graph))
-    return states
+        state = step(state, graph)
+        yield state
 
 
 # (graph, steps): tori with marks at 0, 7 and n - 1, cycles and trees with
-# one to three marks, and a walk of no steps.
+# one to three marks, a walk of no steps, and tori of 2^10 and 2^12 vertices
+# at their full sweep caps (404 and 886 steps; the first is the adversary
+# benchmark's walk).
 WALK_ORACLE_CASES = (
     [
         (torus_graph(n, marked={mark}), min(sweep_step_cap(n), 300))
@@ -527,29 +530,70 @@ WALK_ORACLE_CASES = (
         for depth, marks in ((2, {0}), (5, {1, 62}), (8, {3, 100, 510}))
     ]
     + [(torus_graph(64, marked={5, 6}), 0), (torus_graph(25, marked={0, 12, 24}), 80)]
+    + [(torus_graph(n, marked={0}), sweep_step_cap(n)) for n in (1 << 10, 1 << 12)]
 )
 
 
-WALK_ORACLE_IDS = [
-    f"{g.n_vertices}v-mark{'.'.join(map(str, sorted(g.marked)))}-{t}t" for g, t in WALK_ORACLE_CASES
+def case_ids(cases):
+    return [f"{g.n_vertices}v-mark{'.'.join(map(str, sorted(g.marked)))}-{t}t" for g, t in cases]
+
+
+WALK_ORACLE_IDS = case_ids(WALK_ORACLE_CASES)
+
+
+def fixup_coin(amps, graph):
+    """The coin before marked vertices had a zero coin factor: the Grover
+    coin 2/d * J - I on every block, then -a written over the marked arcs."""
+    block_sums = np.add.reduceat(amps, graph.arc_offsets)
+    coined = np.repeat(2.0 / graph.arc_degrees * block_sums, graph.arc_degrees)
+    coined -= amps
+    coined[graph.marked_arcs] = -amps[graph.marked_arcs]
+    return coined
+
+
+# (graph, steps): tori, cycles and trees with one to three marks.
+FIXUP_COIN_CASES = [
+    (torus_graph(1 << 10, marked={0}), sweep_step_cap(1 << 10)),
+    (torus_graph(64, marked={5, 6}), 60),
+    (torus_graph(25, marked={0, 12, 24}), 80),
+    (cycle_graph(5, marked={0}), 50),
+    (cycle_graph(17, marked={3, 9}), 150),
+    (cycle_graph(100, marked={0, 50, 99}), 150),
+    (binary_tree_graph(2, marked={0}), 50),
+    (binary_tree_graph(5, marked={1, 62}), 150),
+    (binary_tree_graph(8, marked={3, 100, 510}), 150),
 ]
+FIXUP_COIN_IDS = case_ids(FIXUP_COIN_CASES)
 
 
 class TestWalkLoop:
     @pytest.mark.parametrize("graph,t_steps", WALK_ORACLE_CASES, ids=WALK_ORACLE_IDS)
     def test_loop_equals_stepped_walk_bitwise(self, graph, t_steps):
-        states = stepped_walk(graph, t_steps)
         marked = sorted(graph.marked)
-        oracle = [position_probabilities(state, graph)[marked].sum() for state in states]
+        oracle = []
+        for state in stepped_walk(graph, t_steps):
+            oracle.append(position_probabilities(state, graph)[marked].sum())
         assert np.array_equal(success_probability_trace(graph, t_steps), oracle)
         assert np.array_equal(
-            walk_distribution(graph, t_steps), position_probabilities(states[-1], graph)
+            walk_distribution(graph, t_steps), position_probabilities(state, graph)
         )
 
     def test_unmarked_distribution_equals_stepped_walk_bitwise(self):
         for g in (torus_graph(64), cycle_graph(9), binary_tree_graph(4)):
-            want = position_probabilities(stepped_walk(g, 40)[-1], g)
-            assert np.array_equal(walk_distribution(g, 40), want)
+            *_, last = stepped_walk(g, 40)
+            assert np.array_equal(walk_distribution(g, 40), position_probabilities(last, g))
+
+    @pytest.mark.parametrize("graph,t_steps", FIXUP_COIN_CASES, ids=FIXUP_COIN_IDS)
+    def test_zero_coin_factor_equals_fixup_coin_bitwise(self, graph, t_steps):
+        # Along the real walk, and on a random complex state as step sees it.
+        amps = uniform_superposition(graph).amplitudes.real.copy()
+        for _ in range(t_steps):
+            coined = qwalk._apply_coin(amps, graph)
+            assert np.array_equal(coined, fixup_coin(amps, graph))
+            amps = coined.take(graph.arc_reversal)
+        rng = np.random.default_rng(graph.n_vertices)
+        amps = rng.normal(size=graph.n_arcs) + 1j * rng.normal(size=graph.n_arcs)
+        assert np.array_equal(qwalk._apply_coin(amps, graph), fixup_coin(amps, graph))
 
     @pytest.mark.parametrize("walk", [success_probability_trace, walk_distribution])
     def test_state_validated_on_entry_and_exit_only(self, walk, monkeypatch):
