@@ -462,6 +462,8 @@ def _run_qwalk_search(config: ScenarioConfig, report: RunReport) -> None:
 
 def _run_qwalk_sweep(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
+    if len(set(p["sizes"])) < len(p["sizes"]):
+        raise ConfigError(f"sizes must not repeat, got {_fmt(p['sizes'])}")
     points = qwalk.scaling_sweep(p["sizes"], p["cap_factor"])
     scaled = []
     for point in points:

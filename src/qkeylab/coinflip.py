@@ -20,6 +20,7 @@ import numpy as np
 
 from .ecurve import (
     MAX_TABLE_PRIME,
+    MAX_ZETA_LENGTH,
     Curve,
     ZetaCoeffs,
     prime_coefficient,
@@ -36,7 +37,7 @@ RETRY = "retry"
 UNDECIDED = "undecided"
 
 _SETUP_BUDGET = 200_000
-MAX_COMMITMENT = 1 << 16  # committing costs ~m^2 / log m; m = 6^7 took minutes
+MAX_COMMITMENT = MAX_ZETA_LENGTH  # the commitment is a coefficient sequence a(1..m)
 
 
 @dataclass(frozen=True)

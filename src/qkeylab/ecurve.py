@@ -26,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .numtheory import is_probable_prime, primes_up_to, smallest_prime_factors
+from .numtheory import is_probable_prime, primes_up_to
 
 _ODD_SAMPLE_CAP = 32
 MAX_SCAN = 10**6  # largest prime bound of a parity scan and length of a parity stream
 MAX_TABLE_PRIME = 1 << 22  # largest p for the O(p) tables (a few int64 arrays of length p)
+MAX_ZETA_LENGTH = 1 << 16  # a(1..m) costs ~m^2 / log m; m = 6^7 took minutes
 _ZETA_MEMO = 64  # coefficient sequences kept by `zeta_coefficients`
 _SELECT_BOUND = 16  # select_curve draws a and b from [-16, 16]
 _SELECT_BUDGET = 10_000  # draws select_curve makes before it gives up
@@ -56,7 +57,7 @@ def _check_table_size(p: int) -> None:
 
 
 def _count_points_table(curve: Curve, p: int) -> int:
-    # Assumes p > 3 prime and p coprime to the discriminant. Each x value
+    # Assumes p an odd prime coprime to the discriminant. Each x value
     # contributes 2 points if f(x) is a nonzero square, 1 if it is zero,
     # 0 otherwise; the is-a-square table is built from one squaring pass.
     _check_table_size(p)
@@ -154,16 +155,6 @@ class ZetaCoeffs:
             raise DomainError("a(1) must be 1")
 
 
-def _count_small(curve: Curve, p: int) -> int:
-    count = 1
-    for xv in range(p):
-        fx = (xv * xv * xv + curve.a * xv + curve.b) % p
-        for yv in range(p):
-            if yv * yv % p == fx:
-                count += 1
-    return count
-
-
 def _bad_prime_coefficient(curve: Curve, p: int) -> int:
     # Degenerate reduction at p > 3. The singular point (x0, 0) solves
     # 3x0^2 + a = 0 and x0^3 + ax0 + b = 0, so x0 = -3b / (2a). If p divides a,
@@ -180,15 +171,15 @@ def _prime_coefficient_sieved(curve: Curve, p: int) -> int:
     # `p` must come from a prime sieve; skips the primality check.
     if curve.discriminant % p == 0:
         return _bad_prime_coefficient(curve, p)
-    if p <= 3:
-        return p + 1 - _count_small(curve, p)
+    if p == 2:  # squaring is the identity on F_2: one y for each x, 3 points
+        return 0
     return p + 1 - _count_points_table(curve, p)
 
 
 def prime_coefficient(curve: Curve, p: int) -> int:
     """a(p) for prime p: the trace for good primes, the reduction-type
-    convention (0, +1, -1) for primes dividing the discriminant, and the
-    direct affine count for p <= 3."""
+    convention (0, +1, -1) for primes dividing the discriminant; a(2) = 0,
+    and a(3) comes from the same residue-table count as every odd prime."""
     if not is_probable_prime(p):
         raise DomainError(f"{p} is not prime")
     return _prime_coefficient_sieved(curve, p)
@@ -199,46 +190,34 @@ def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
     a(p^k) = a(p) a(p^(k-1)) - p a(p^(k-2)) at good primes (a(p)^k at bad
     ones), multiplicativity everywhere else.
 
-    Each sequence is computed once per process and shared: `values` is a
-    read-only array (copy it to change it). The memo keeps the last
-    `_ZETA_MEMO` = 64 sequences; at the coin-flip cap m <= 2^16 that is at
-    most 64 * 2^16 * 8 B = 32 MB.
+    m is capped at `MAX_ZETA_LENGTH` = 2^16. Each sequence is computed once
+    per process and shared: `values` is a read-only array (copy it to change
+    it). The memo keeps the last `_ZETA_MEMO` = 64 sequences, at most
+    64 * 2^16 * 8 B = 32 MB.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
+    if m > MAX_ZETA_LENGTH:
+        raise ResourceError(f"sequence length {m} exceeds the cap {MAX_ZETA_LENGTH}")
     return ZetaCoeffs(m, _zeta_values(curve.a, curve.b, m))
 
 
 @functools.lru_cache(maxsize=_ZETA_MEMO)
 def _zeta_values(a: int, b: int, m: int) -> np.ndarray:
     curve = Curve(a, b)
-    values = np.zeros(m + 1, dtype=np.int64)
-    values[1] = 1
-    spf = smallest_prime_factors(m)
+    values = np.ones(m + 1, dtype=np.int64)
     for p in primes_up_to(m).tolist():
         ap = _prime_coefficient_sieved(curve, p)
         good = curve.discriminant % p != 0
-        q = p
-        prev, prev2 = ap, 1
-        if q <= m:
-            values[q] = ap
+        # part[j - 1] ends as a(p^k) for the power p^k that exactly divides j * p.
+        part = np.full(m // p, ap, dtype=np.int64)
+        q, prev, prev2 = p, ap, 1
         while q * p <= m:
+            nxt = ap * prev - p * prev2 if good else ap * prev
+            part[q - 1 :: q] = nxt
             q *= p
-            if good:
-                nxt = ap * prev - p * prev2
-            else:
-                nxt = ap * prev
-            values[q] = nxt
             prev2, prev = prev, nxt
-    for n in range(2, m + 1):
-        p = int(spf[n])
-        q = p
-        rest = n // p
-        while rest % p == 0:
-            q *= p
-            rest //= p
-        if rest > 1:
-            values[n] = values[q] * values[rest]
+        values[p::p] *= part
     values.flags.writeable = False
     return values[1:]
 

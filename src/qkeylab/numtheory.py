@@ -1,8 +1,6 @@
 """Small number-theory helpers: primality, prime sieves, random primes."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, ResourceError
@@ -84,25 +82,3 @@ def primes_up_to(bound: int) -> np.ndarray:
         _sieve_cache["primes"] = np.nonzero(mask)[0].astype(np.int64)
     primes = _sieve_cache["primes"]
     return primes[: int(np.searchsorted(primes, bound, side="right"))]
-
-
-_spf_cache: dict = {"limit": 0, "spf": np.zeros(1, dtype=np.int64)}
-
-
-def smallest_prime_factors(bound: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n, for 0 <= n <= bound (spf[0..1] = 0).
-
-    A read-only view of a sieve that is cached and grown like `primes_up_to`'s.
-    """
-    if _spf_cache["limit"] < bound:
-        limit = max(bound, 2 * _spf_cache["limit"], 1 << 10)
-        spf = np.zeros(limit + 1, dtype=np.int64)
-        primes = primes_up_to(limit)
-        # Largest prime first, so each composite keeps the smallest factor written.
-        for p in primes[primes <= math.isqrt(limit)][::-1].tolist():
-            spf[p * p :: p] = p
-        spf[primes] = primes
-        spf.flags.writeable = False
-        _spf_cache["limit"] = limit
-        _spf_cache["spf"] = spf
-    return _spf_cache["spf"][: max(bound + 1, 0)]

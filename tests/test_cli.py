@@ -248,7 +248,9 @@ CONTRACT_CASES = [
 WALK_CAP_CASES = [
     ["qwalk-search", "--trials", "1000000000000"],
     ["qwalk-search", "--t", "100000000"],
+    # 17 sweep sizes, repeated (refused as a repeat) and distinct (past the count cap)
     ["qwalk-sweep", "--sizes", ",".join(["16"] * (qwalk.MAX_SWEEP_SIZES + 1))],
+    ["qwalk-sweep", "--sizes", ",".join(str(n * n) for n in range(4, 5 + qwalk.MAX_SWEEP_SIZES))],
 ]
 CAP_CASES = [
     ["density", "--a", "0", "--b", "-2", "--x", str(ecurve.MAX_SCAN + 1)],
@@ -396,6 +398,16 @@ class TestInputContract:
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", ["16,16", "16,+16"])
+    def test_repeated_sweep_sizes_exit_2_before_any_walk(self, sizes, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a walk started before the check")
+
+        monkeypatch.setattr(qwalk, "scaling_sweep", refuse)
+        assert main(["qwalk-sweep", "--sizes", sizes]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: sizes")
 
     @pytest.mark.parametrize("argv", STREAM_CAP_CASES, ids=" ".join)
     def test_stream_and_sync_caps_exit_2(self, argv, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qkeylab import coinflip
+from qkeylab import coinflip, ecurve
 from qkeylab.errors import DomainError, ResourceError
 from qkeylab.ecurve import Curve, prime_coefficient, splitting_degree, zeta_coefficients
 from qkeylab.coinflip import (
@@ -295,3 +295,4 @@ class TestCommitmentCap:
         # benchmarked window (B=4096), all at k=3; k=6 at B=64 is the largest allowed.
         assert [commitment_length(B, 3) for B in (64, 256, 4096)] == [216, 512, 1728]
         assert commitment_length(64, 6) <= MAX_COMMITMENT < commitment_length(64, 7)
+        assert MAX_COMMITMENT == ecurve.MAX_ZETA_LENGTH  # one cap for every coefficient sequence

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qkeylab.errors import DomainError
-from qkeylab import numtheory
-from qkeylab.numtheory import is_probable_prime, primes_up_to, smallest_prime_factors
+from qkeylab import ecurve
+from qkeylab.errors import DomainError, ResourceError
+from qkeylab.numtheory import is_probable_prime, primes_up_to
 from qkeylab.ecurve import (
     _ZETA_MEMO,
+    MAX_ZETA_LENGTH,
     _bad_prime_coefficient,
     _zeta_values,
     Curve,
@@ -202,10 +203,12 @@ class TestZetaCoefficients:
                 value *= term
             return value
 
+        # Short lengths that end on a power of 2 or 3.
         for curve in sample_curves():
-            seq = zeta_coefficients(curve, 200)
-            for n in range(1, 201):
-                assert seq.values[n - 1] == direct(curve, n), (curve, n)
+            for m in (2, 4, 8, 9, 16, 27, 32, 200):
+                seq = zeta_coefficients(curve, m)
+                for n in range(1, m + 1):
+                    assert seq.values[n - 1] == direct(curve, n), (curve, m, n)
 
     def test_values_are_read_only(self):
         seq = zeta_coefficients(Curve(1, 1), 30)
@@ -271,6 +274,14 @@ class TestZetaCoefficients:
     def test_invalid_length_rejected(self):
         with pytest.raises(DomainError):
             zeta_coefficients(Curve(1, 1), 0)
+
+    def test_length_cap_fires_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started past the cap")
+
+        monkeypatch.setattr(ecurve, "_zeta_values", refuse)
+        with pytest.raises(ResourceError, match="cap"):
+            zeta_coefficients(Curve(1, 1), MAX_ZETA_LENGTH + 1)
 
 
 class TestDensityScan:
@@ -347,17 +358,6 @@ class TestPrimality:
         assert not is_probable_prime(318665857834031151167461)
         assert is_probable_prime(2**89 - 1)
 
-    def test_smallest_prime_factors_across_growth(self, monkeypatch):
-        def trial_division(n):
-            return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-
-        expected = [0, 0] + [trial_division(n) for n in range(2, 5001)]
-        monkeypatch.setattr(numtheory, "_spf_cache", {"limit": 0, "spf": np.zeros(1, np.int64)})
-        for bound in (100, 5000, 300):
-            spf = smallest_prime_factors(bound)
-            assert spf.tolist() == expected[: bound + 1]
-            assert not spf.flags.writeable
-
 
 class TestSmallPrimeCoefficients:
     def test_value_at_two_from_affine_count(self):
@@ -370,6 +370,23 @@ class TestSmallPrimeCoefficients:
         # squares mod 3 come with multiplicities {0: 1, 1: 2, 2: 0}, so the
         # affine count is 2 + 1 + 0 = 3 and a(3) = 3 + 1 - 4 = 0.
         assert prime_coefficient(Curve(1, 1), 3) == 0
+
+    def test_values_at_two_and_three_from_affine_count(self):
+        # Every curve of a small box with good reduction at p: the residue
+        # table (p = 3) and a(2) = 0 against enumerating all affine pairs.
+        checked = 0
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                disc = 4 * a**3 + 27 * b**2
+                if disc == 0:
+                    continue
+                seq = zeta_coefficients(Curve(a, b), 3).values
+                for p in (2, 3):
+                    if disc % p:
+                        expected = p + 1 - brute_count(a, b, p)
+                        assert prime_coefficient(Curve(a, b), p) == seq[p - 1] == expected
+                        checked += 1
+        assert checked > 100
 
     def test_zeta_sequence_includes_small_primes(self):
         a = dict(enumerate(zeta_coefficients(Curve(1, 1), 12).values, start=1))
