@@ -600,7 +600,9 @@ SCENARIOS: dict = {
         {
             "sessions": FieldSpec(int, 5, "independent protocol sessions", 1),
             "length_bits": FieldSpec(int, 128, "key length", 1, broadcast.MAX_WINDOW_BITS),
-            "slot_bits": FieldSpec(int, 8, "log2 of the slot schedule size", 1, 32),
+            "slot_bits": FieldSpec(
+                int, 8, "log2 of the slot schedule size", 1, keyexchange.MAX_SLOT_BITS
+            ),
             **_LINK_FIELDS,
         },
         _run_private,

@@ -34,13 +34,15 @@ from .broadcast import (
     reception_index,
 )
 from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS, ticking_qubit_sync
-from .errors import DomainError, ProtocolError
+from .errors import DomainError, ProtocolError, ResourceError
 from .numtheory import is_probable_prime, random_below, random_prime
-from .teleport import teleport_index
+from .teleport import MAX_TELEPORT_BITS, teleport_index
 from .transcript import SharedKey, Transcript, int_payload, text_payload
 
 _MAX_WINDOW_RETRIES = 16
 _MAX_FLIP_RETRIES = 80
+# The slot index is drawn as one int64 below 2**slot_bits.
+MAX_SLOT_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -240,6 +242,10 @@ def pq_dh(
     _check_secret(a, p)
     _check_secret(b, p)
     width = window.length
+    if width > MAX_TELEPORT_BITS:
+        raise ResourceError(
+            f"window length {width} exceeds the teleport cap {MAX_TELEPORT_BITS}"
+        )
     transcript = Transcript()
     sync = run_clock_sync(
         alice, bob, rng, transcript, sync_n_bits, sync_t_max_ns, sync_shots_per_bit
@@ -346,6 +352,8 @@ def private_exchange(
     """
     if slot_bits < 1:
         raise DomainError(f"need slot_bits >= 1, got {slot_bits}")
+    if slot_bits > MAX_SLOT_BITS:
+        raise ResourceError(f"slot_bits {slot_bits} exceeds the cap {MAX_SLOT_BITS}")
     transcript = Transcript()
     sync = run_clock_sync(
         alice, bob, rng, transcript, sync_n_bits, sync_t_max_ns, sync_shots_per_bit

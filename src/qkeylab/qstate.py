@@ -5,8 +5,10 @@ Conventions, fixed once for the whole package:
 * Qubit k is the k-th least significant bit of the basis index, so on three
   qubits the basis state at amplitude index 5 is qubit0=1, qubit1=0, qubit2=1.
   `_halves` is the one place that applies this rule: it views the amplitudes
-  as (high, 2, low), where [:, b, :] holds every amplitude whose qubit q
-  reads b. Every gate and measurement kernel works through that view.
+  as (..., high, 2, low), where [..., b, :] holds every amplitude whose qubit
+  q reads b. Every gate and measurement kernel works through that view, so
+  each one also runs on a stack of states along leading batch axes, row by
+  row with the same arithmetic as on a single state.
 * Operations are pure: they return fresh states and never mutate inputs.
 * Randomness enters only through an explicitly injected
   ``numpy.random.Generator``; the module holds no ambient RNG state.
@@ -126,48 +128,78 @@ def _check_targets(state: StateVector, targets: tuple[int, ...]):
 
 
 def _halves(amps: np.ndarray, qubit: int) -> np.ndarray:
-    """View `amps` as (high, 2, low); [:, b, :] holds the amplitudes where `qubit` reads b."""
-    return amps.reshape(-1, 2, 1 << qubit)
+    """View `amps` as (..., high, 2, low); [..., b, :] holds the amplitudes where `qubit` reads b."""
+    return amps.reshape(*amps.shape[:-1], -1, 2, 1 << qubit)
 
 
 def _apply_single(amps: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
-    return (matrix @ _halves(amps, qubit)).reshape(-1)
+    return (matrix @ _halves(amps, qubit)).reshape(amps.shape)
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     # The control = 1 half is a register one qubit smaller: the qubits above
     # the control move down by one. X on its target swaps the target's halves.
     out = amps.copy()
-    ones = _halves(out, control)[:, 1, :]
-    inner = _halves(ones.flatten(), target - (target > control))
-    ones[...] = inner[:, ::-1, :].reshape(ones.shape)
+    ones = _halves(out, control)[..., 1, :]
+    inner = _halves(ones.reshape(*ones.shape[:-2], -1), target - (target > control))
+    ones[...] = inner[..., ::-1, :].reshape(ones.shape)
     return out
+
+
+def _apply(amps: np.ndarray, gate: GateSpec) -> np.ndarray:
+    """The gate's unitary applied to each state along the last axis of `amps`."""
+    if gate.kind == "CNOT":
+        return _apply_cnot(amps, gate.targets[0], gate.targets[1])
+    if gate.kind == "H":
+        matrix = _H_MATRIX
+    elif gate.kind == "X":
+        matrix = _X_MATRIX
+    elif gate.kind == "Z":
+        matrix = _Z_MATRIX
+    else:
+        matrix = np.array([[1.0, 0.0], [0.0, np.exp(1j * gate.theta)]])
+    return _apply_single(amps, gate.targets[0], matrix)
 
 
 def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
     """Return U|state> for the gate's unitary."""
     _check_targets(state, gate.targets)
-    if gate.kind == "CNOT":
-        amps = _apply_cnot(state.amplitudes, gate.targets[0], gate.targets[1])
-    else:
-        if gate.kind == "H":
-            matrix = _H_MATRIX
-        elif gate.kind == "X":
-            matrix = _X_MATRIX
-        elif gate.kind == "Z":
-            matrix = _Z_MATRIX
-        else:
-            matrix = np.array([[1.0, 0.0], [0.0, np.exp(1j * gate.theta)]])
-        amps = _apply_single(state.amplitudes, gate.targets[0], matrix)
-    return StateVector(state.n_qubits, amps)
+    return StateVector(state.n_qubits, _apply(state.amplitudes, gate))
+
+
+def _p1(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """Born weight of `qubit` reading 1 in each state along the last axis."""
+    weights = np.abs(_halves(amps, qubit)[..., 1, :]) ** 2
+    # A sum of squares is >= 0; rounding can take it past 1.
+    return np.minimum(weights.reshape(*amps.shape[:-1], -1).sum(axis=-1), 1.0)
+
+
+def _collapse(
+    amps: np.ndarray, qubit: int, draws: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projective measurement of `qubit` in each state along the last axis.
+
+    A state reads 1 when its uniform draw falls below its p1. Returns the
+    outcomes (bool), their Born weights and the collapsed, renormalized states.
+    """
+    p1 = _p1(amps, qubit)
+    ones = draws < p1
+    p_outcome = np.where(ones, p1, 1.0 - p1)
+    if (p_outcome < _ZERO_BRANCH).any():
+        raise InternalError(
+            f"sampled a branch of probability {p_outcome.min()}; sampling is inconsistent"
+        )
+    out = amps / np.sqrt(p_outcome)[..., None]
+    halves = _halves(out, qubit)
+    halves[..., 0, :][ones] = 0.0
+    halves[..., 1, :][~ones] = 0.0
+    return ones, p_outcome, out
 
 
 def measurement_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
     """Born-rule probabilities (p0, p1) for measuring `qubit`."""
     _check_targets(state, (qubit,))
-    ones = _halves(state.amplitudes, qubit)[:, 1, :]
-    p1 = float((np.abs(ones) ** 2).sum())
-    p1 = min(max(p1, 0.0), 1.0)
+    p1 = float(_p1(state.amplitudes, qubit))
     return 1.0 - p1, p1
 
 
@@ -175,16 +207,10 @@ def measure_qubit(
     state: StateVector, qubit: int, rng: np.random.Generator
 ) -> tuple[MeasurementRecord, StateVector]:
     """Sample a projective measurement of `qubit`, collapsing the state."""
-    p0, p1 = measurement_probabilities(state, qubit)
-    outcome = 1 if rng.random() < p1 else 0
-    p_outcome = p1 if outcome else p0
-    if p_outcome < _ZERO_BRANCH:
-        raise InternalError(
-            f"sampled a branch of probability {p_outcome}; sampling is inconsistent"
-        )
-    amps = state.amplitudes / math.sqrt(p_outcome)
-    _halves(amps, qubit)[:, 1 - outcome, :] = 0.0
-    return MeasurementRecord(outcome, p_outcome), StateVector(state.n_qubits, amps)
+    _check_targets(state, (qubit,))
+    ones, p_outcome, amps = _collapse(state.amplitudes, qubit, rng.random())
+    record = MeasurementRecord(int(ones), float(p_outcome))
+    return record, StateVector(state.n_qubits, amps)
 
 
 def fidelity(s1: StateVector, s2: StateVector) -> float:

@@ -49,6 +49,9 @@ MAX_SEARCH_TRIALS = 1 << 22  # search draws its samples as one int64 array
 # The most sizes one scaling sweep takes: each may cost up to a 2^16-vertex
 # walk of MAX_WALK_STEPS steps, so this bounds the whole sweep too.
 MAX_SWEEP_SIZES = 16
+# The most float64 values a success-probability trace holds, (t_limit + 1) x
+# (arcs at marked vertices): 128 MB.
+MAX_TRACE_VALUES = 1 << 24
 
 
 class Graph:
@@ -265,10 +268,14 @@ def success_probability_trace(graph: Graph, t_limit: int) -> np.ndarray:
     """Exact success probability after t = 0..t_limit steps (no sampling).
 
     Holds the marked vertices' arc amplitudes for every t: (t_limit + 1) x
-    (arcs at marked vertices) real float64 values (see the module docstring).
+    (arcs at marked vertices) real float64 values (see the module docstring),
+    at most MAX_TRACE_VALUES of them.
     """
     if not graph.marked:
         raise DomainError("trace needs at least one marked vertex")
+    values = (t_limit + 1) * graph.marked_arcs.size
+    if values > MAX_TRACE_VALUES:
+        raise ResourceError(f"a trace of {values} values exceeds the cap {MAX_TRACE_VALUES}")
     _, marked_amps = _walk(graph, t_limit, watch_marked=True)
     # Sum each marked vertex's arc block, then the vertices in order: the
     # additions of position_probabilities(state, graph)[marked].sum().

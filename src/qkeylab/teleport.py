@@ -11,7 +11,9 @@ joint measurement, so no copy survives on the sending side.
 frame: it makes the pair and rotates qubits 0 and 1 so that the joint
 measurement reads them in the computational basis. `teleport_state` samples
 qubit 1, then qubit 0; `teleport_branches` reads all four outcomes off the
-frame's amplitudes.
+frame's amplitudes. `teleport_index` runs the same circuit for every bit of
+an integer at once, as one stack of 3-qubit states through the `qstate`
+kernels, row by row with the arithmetic of `teleport_state`.
 """
 from __future__ import annotations
 
@@ -19,18 +21,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InternalError, ResourceError
 from .qstate import (
+    _NORM_ATOL,
     StateVector,
+    _apply,
+    _collapse,
     apply_gate,
     cnot,
     fidelity,
     h,
     measure_qubit,
-    new_basis_state,
     x,
     z,
 )
+
+# teleport_index holds a few (bit_width, 8) complex arrays: 128 B per bit each.
+MAX_TELEPORT_BITS = 1 << 16
+
+_BELL_FRAME = (h(1), cnot(1, 2), cnot(0, 1), h(0))
 
 
 @dataclass(frozen=True)
@@ -73,14 +82,15 @@ def _bell_frame(input_state: StateVector) -> StateVector:
     amps[0] = input_state.amplitudes[0]
     amps[1] = input_state.amplitudes[1]
     state = StateVector(3, amps)
-    for gate in (h(1), cnot(1, 2), cnot(0, 1), h(0)):
+    for gate in _BELL_FRAME:
         state = apply_gate(state, gate)
     return state
 
 
-def _receiver_state(amps: np.ndarray, bit_z: int, bit_x: int) -> np.ndarray:
-    base = bit_z + 2 * bit_x
-    return np.array([amps[base], amps[base + 4]])
+def _receiver_state(amps: np.ndarray, bit_z, bit_x) -> np.ndarray:
+    """Qubit 2's amplitudes in the branch (bit_z, bit_x), per state along the last axis."""
+    base = np.asarray(bit_z + 2 * bit_x)
+    return np.take_along_axis(amps, base[..., None] + np.array([0, 4]), axis=-1)
 
 
 def _correct(receiver: StateVector, bit_z: int, bit_x: int) -> StateVector:
@@ -130,20 +140,47 @@ def teleport_index(
 ) -> tuple[int, list[TeleportTranscript]]:
     """Convey the integer n exactly by teleporting bit_width basis-state qubits.
 
-    Bit k of n (LSB-0) rides qubit k's run. Each teleported qubit is measured
-    on the receiving side after correction, so the reassembled integer equals
-    n whenever every single-qubit run has unit fidelity, which it does here.
+    Bit k of n (LSB-0) rides qubit k's run; all runs go as one (bit_width, 8)
+    stack through the circuit of `teleport_state`. The draws are
+    `rng.random((bit_width, 3))`: row k holds bit k's qubit-1 draw, its
+    qubit-0 draw and the receiver's readout draw, the order of
+    `teleport_state` followed by `measure_qubit` on the replica, bit by bit.
+    Each teleported qubit is measured on the receiving side after correction,
+    so the reassembled integer equals n whenever every single-qubit run has
+    unit fidelity, which it does here. bit_width is capped at
+    MAX_TELEPORT_BITS, checked before any draw.
     Returns the received integer and the per-qubit run records, bit 0 first.
     """
     if bit_width < 1:
         raise DomainError(f"bit width must be >= 1, got {bit_width}")
+    if bit_width > MAX_TELEPORT_BITS:
+        raise ResourceError(f"bit width {bit_width} exceeds the cap {MAX_TELEPORT_BITS}")
     if not 0 <= n < (1 << bit_width):
         raise DomainError(f"{n} does not fit in {bit_width} bit(s)")
-    value = 0
-    records = []
-    for k in range(bit_width):
-        record, received = teleport_state(new_basis_state(1, (n >> k) & 1), rng)
-        measured, _ = measure_qubit(received, 0, rng)
-        value |= measured.outcome << k
-        records.append(record)
+    draws = rng.random((bit_width, 3))
+    rows = np.arange(bit_width)
+    n_bytes = np.frombuffer(n.to_bytes((bit_width + 7) // 8, "little"), np.uint8)
+    bits = np.unpackbits(n_bytes, bitorder="little")[:bit_width]
+    amps = np.zeros((bit_width, 8), dtype=complex)
+    amps[rows, bits] = 1.0
+    for gate in _BELL_FRAME:
+        amps = _apply(amps, gate)
+    bit_x, _, amps = _collapse(amps, 1, draws[:, 0])
+    bit_z, _, amps = _collapse(amps, 0, draws[:, 1])
+    receiver = _receiver_state(amps, bit_z, bit_x)
+    deviation = abs(np.linalg.norm(receiver, axis=-1) - 1.0).max()
+    if deviation > _NORM_ATOL:
+        raise InternalError(f"a receiver norm deviates from 1 by {deviation} > {_NORM_ATOL}")
+    receiver = np.where(bit_x[:, None], _apply(receiver, x(0)), receiver)
+    receiver = np.where(bit_z[:, None], _apply(receiver, z(0)), receiver)
+    received, _, _ = _collapse(receiver, 0, draws[:, 2])
+    value = int.from_bytes(np.packbits(received, bitorder="little").tobytes(), "little")
+    # |<bit|receiver>|^2 per run in the scalar arithmetic of `fidelity`: its
+    # vdot against a basis state adds only exact zeros to the kept amplitude.
+    records = [
+        TeleportTranscript(
+            BellOutcome(int(bz), int(bx)), ("X",) * bx + ("Z",) * bz, float(abs(amp) ** 2)
+        )
+        for bz, bx, amp in zip(bit_z.tolist(), bit_x.tolist(), receiver[rows, bits])
+    ]
     return value, records

@@ -1,12 +1,12 @@
-"""Size caps on primes, stream reads, storage spans, sync ladders, walk
-graphs, searches and sweeps, and the stream-position check on receiver
-geometry."""
+"""Size caps on primes, stream reads, storage spans, sync ladders, teleported
+integers, slot schedules, walk graphs, searches, traces and sweeps, and the
+stream-position check on receiver geometry."""
 import math
 
 import numpy as np
 import pytest
 
-from qkeylab import broadcast, clocksync, numtheory, qwalk
+from qkeylab import broadcast, clocksync, keyexchange, numtheory, qwalk, teleport
 from qkeylab.broadcast import (
     BroadcastSource,
     KeyWindow,
@@ -17,6 +17,8 @@ from qkeylab.broadcast import (
 )
 from qkeylab.clocksync import Clock, ticking_qubit_sync
 from qkeylab.errors import DomainError, ResourceError
+from qkeylab.keyexchange import PartySecret, pq_dh, private_exchange
+from qkeylab.teleport import teleport_index
 
 
 class RefusingGenerator:
@@ -36,6 +38,11 @@ def test_caps_admit_every_shipped_config():
     assert broadcast.MAX_WINDOW_BITS >= 128
     assert broadcast.MAX_STORAGE_SPAN >= 2048
     assert clocksync.MAX_SHOTS_PER_BIT >= clocksync.SYNC_SHOTS_PER_BIT == 100
+    # pq_dh teleports a flip index as wide as its modulus, private_exchange a slot.
+    assert teleport.MAX_TELEPORT_BITS >= numtheory.MAX_PRIME_BITS
+    assert teleport.MAX_TELEPORT_BITS >= keyexchange.MAX_SLOT_BITS
+    # One marked torus vertex (4 arcs) at the step cap: the sweep and eve-qwalk.
+    assert qwalk.MAX_TRACE_VALUES >= 4 * (qwalk.MAX_WALK_STEPS + 1)
     assert numtheory.random_prime(48, np.random.default_rng(1)).bit_length() == 48
 
 
@@ -67,6 +74,49 @@ def test_sync_ladder_runs_at_its_cap():
     rng = np.random.default_rng(3)
     result = ticking_qubit_sync(1e3, clocksync.MAX_SYNC_BITS, 1e6, 2, rng)
     assert math.isfinite(result.delta_estimate_ns)
+
+
+def _link():
+    source = BroadcastSource(seed=7, bitrate=1e6)
+    return source, Receiver("alice", 0.0, Clock(0.0)), Receiver("bob", 0.0, Clock(0.0))
+
+
+def test_teleport_width_cap_fires_before_drawing():
+    with pytest.raises(ResourceError, match="cap"):
+        teleport_index(0, teleport.MAX_TELEPORT_BITS + 1, RefusingGenerator())
+    n = (1 << teleport.MAX_TELEPORT_BITS) - 3
+    value, records = teleport_index(n, teleport.MAX_TELEPORT_BITS, np.random.default_rng(4))
+    assert value == n
+    assert len(records) == teleport.MAX_TELEPORT_BITS
+
+
+def test_pq_dh_window_past_the_teleport_cap_fires_before_the_sync():
+    window = KeyWindow(0.0, teleport.MAX_TELEPORT_BITS + 1)
+    with pytest.raises(ResourceError, match="cap"):
+        pq_dh(*_link(), window, 23, PartySecret(3), PartySecret(5), RefusingGenerator())
+
+
+def test_slot_bits_cap_fires_before_the_sync():
+    with pytest.raises(ResourceError, match="cap"):
+        private_exchange(
+            *_link(),
+            KeyWindow(0.0, 8),
+            RefusingGenerator(),
+            slot_bits=keyexchange.MAX_SLOT_BITS + 1,
+        )
+
+
+def test_trace_value_cap_fires_before_the_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk started past the cap")
+
+    monkeypatch.setattr(qwalk, "_walk", refuse)
+    graph = qwalk.binary_tree_graph(1, marked={1})  # a leaf: one marked arc
+    assert graph.marked_arcs.size == 1
+    with pytest.raises(ResourceError, match="cap"):
+        qwalk.success_probability_trace(graph, qwalk.MAX_TRACE_VALUES)  # cap + 1 values
+    with pytest.raises(AssertionError, match="walk started"):
+        qwalk.success_probability_trace(graph, qwalk.MAX_TRACE_VALUES - 1)
 
 
 def test_walk_caps_fire_before_allocating(monkeypatch):

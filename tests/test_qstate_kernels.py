@@ -1,8 +1,9 @@
-"""The (high, 2, low) view kernels of `qstate` against slow, obvious twins.
+"""The (..., high, 2, low) view kernels of `qstate` against slow, obvious twins.
 
 The reference functions below are the index-mask kernels the view replaced:
 each derives the positions of qubit q from a fresh `np.arange` of the basis
-indices. They stay here as the oracle for the fast path.
+indices. They stay here as the oracle for the fast path. A stack of states
+along leading batch axes must give each state's own result, bit for bit.
 """
 import itertools
 import math
@@ -131,6 +132,42 @@ def test_collapse_matches_reference(n, outcome):
         want = ref_collapse(state.amplitudes, qubit, outcome, record.probability)
         np.testing.assert_allclose(after.amplitudes, want, rtol=0, atol=TOL)
     np.testing.assert_array_equal(state.amplitudes, before)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_stacked_kernels_equal_the_per_row_results_bitwise(n):
+    stack = np.stack([random_state(n, 600 + 10 * n + i).amplitudes for i in range(6)])
+    stack = stack.reshape(2, 3, 1 << n)
+    before = stack.copy()
+    rows = stack.reshape(-1, 1 << n)
+    matrices = (
+        qstate._H_MATRIX,
+        qstate._X_MATRIX,
+        qstate._Z_MATRIX,
+        np.array([[1.0, 0.0], [0.0, np.exp(1j * (0.7 + n))]]),
+    )
+    draws = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+    seen = set()
+
+    def per_row(kernel, *args):
+        return np.stack([kernel(row, *args) for row in rows]).reshape(stack.shape)
+
+    for qubit in range(n):
+        for matrix in matrices:
+            got = qstate._apply_single(stack, qubit, matrix)
+            assert got.tobytes() == per_row(qstate._apply_single, qubit, matrix).tobytes()
+        for target in set(range(n)) - {qubit}:
+            got = qstate._apply_cnot(stack, qubit, target)
+            assert got.tobytes() == per_row(qstate._apply_cnot, qubit, target).tobytes()
+        ones, p_outcome, collapsed = qstate._collapse(stack, qubit, draws)
+        seen.update(ones.reshape(-1).tolist())
+        for i, (row, draw) in enumerate(zip(rows, draws.reshape(-1))):
+            row_ones, row_p, row_collapsed = qstate._collapse(row, qubit, draw)
+            assert row_ones == ones.reshape(-1)[i]
+            assert row_p == p_outcome.reshape(-1)[i]
+            assert row_collapsed.tobytes() == collapsed.reshape(rows.shape)[i].tobytes()
+    assert seen == {False, True}
+    np.testing.assert_array_equal(stack, before)
 
 
 def test_teleported_receiver_is_the_sampled_branch_corrected():

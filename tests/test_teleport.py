@@ -2,8 +2,21 @@ import numpy as np
 import pytest
 
 from qkeylab.errors import DomainError
-from qkeylab.qstate import StateVector, fidelity, new_basis_state
+from qkeylab.qstate import StateVector, fidelity, measure_qubit, new_basis_state
 from qkeylab.teleport import BellOutcome, teleport_branches, teleport_index, teleport_state
+
+
+def per_qubit_teleport_index(n, bit_width, rng):
+    """The slow, obvious twin of `teleport_index`: one `teleport_state` run
+    and one receiver readout per bit, bit 0 first."""
+    value = 0
+    records = []
+    for k in range(bit_width):
+        record, received = teleport_state(new_basis_state(1, (n >> k) & 1), rng)
+        measured, _ = measure_qubit(received, 0, rng)
+        value |= measured.outcome << k
+        records.append(record)
+    return value, records
 
 
 def random_qubit(rng):
@@ -123,3 +136,21 @@ class TestTeleportIndex:
         assert value == 9
         assert len(records) == 6
         assert all(record.fidelity >= 1 - 1e-9 for record in records)
+
+    def test_batch_equals_the_per_qubit_oracle(self):
+        # Value, records (fidelity included) and the generator's next draw.
+        cases = [(seed, 1 + seed % 48) for seed in range(300)] + [(900, 1024), (901, 1024)]
+        for seed, width in cases:
+            pick = np.random.default_rng(10_000 + seed)
+            n = int.from_bytes(pick.bytes((width + 7) // 8), "little") % (1 << width)
+            n = (0, (1 << width) - 1, n)[seed % 3]
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert teleport_index(n, width, fast) == per_qubit_teleport_index(n, width, slow)
+            assert fast.random() == slow.random()
+
+    def test_three_draws_per_bit(self):
+        for width in (1, 8, 48):
+            rng, twin = np.random.default_rng(width), np.random.default_rng(width)
+            teleport_index(width - 1, width, rng)
+            twin.random(3 * width)
+            assert rng.random() == twin.random()
