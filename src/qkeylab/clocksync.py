@@ -54,10 +54,7 @@ class SyncResult:
 
 def _quadrature_p1(phi: float, extra_phase: float) -> float:
     """P(outcome 1) when reading the precessed qubit in a rotated basis."""
-    sv = new_basis_state(1, 0)
-    sv = apply_gate(sv, h(0))
-    sv = apply_gate(sv, phase(phi + extra_phase, 0))
-    sv = apply_gate(sv, h(0))
+    sv = apply_gate(new_basis_state(1, 0), h(0), phase(phi + extra_phase, 0), h(0))
     return measurement_probabilities(sv, 0)[1]
 
 
@@ -97,6 +94,8 @@ def ticking_qubit_sync(
         raise ResourceError(f"{shots_per_bit} shots per rung exceed the cap {MAX_SHOTS_PER_BIT}")
     if not 0 < t_max_ns < math.inf:
         raise DomainError(f"t_max_ns must be positive and finite, got {t_max_ns}")
+    if not math.isfinite(TWO_PI * (1 << (n_bits - 1)) / t_max_ns):
+        raise DomainError(f"t_max_ns {t_max_ns} too small for n_bits {n_bits}: rates overflow")
     if not abs(true_delta_ns) < t_max_ns / 2:
         raise DomainError(
             f"offset {true_delta_ns} ns outside the resolvable window +-{t_max_ns / 2} ns"

@@ -35,7 +35,7 @@ from .broadcast import (
 )
 from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS, ticking_qubit_sync
 from .errors import DomainError, ProtocolError, ResourceError
-from .numtheory import is_probable_prime, random_below, random_prime
+from .numtheory import MAX_PRIME_BITS, is_probable_prime, random_below, random_prime
 from .teleport import MAX_TELEPORT_BITS, teleport_index
 from .transcript import SharedKey, Transcript, int_payload, text_payload
 
@@ -45,14 +45,21 @@ _MAX_FLIP_RETRIES = 80
 MAX_SLOT_BITS = 32
 
 
+def _check_modulus(p: int):
+    """Refuse p unless it is an odd prime of at most MAX_PRIME_BITS bits; the cap comes first."""
+    if p.bit_length() > MAX_PRIME_BITS:
+        raise ResourceError(f"modulus of {p.bit_length()} bits exceeds the cap {MAX_PRIME_BITS}")
+    if p < 3 or not is_probable_prime(p):
+        raise DomainError(f"modulus {p} is not an odd prime")
+
+
 @dataclass(frozen=True)
 class DhParams:
     p: int
     g: int
 
     def __post_init__(self):
-        if self.p < 3 or not is_probable_prime(self.p):
-            raise DomainError(f"modulus {self.p} is not an odd prime")
+        _check_modulus(self.p)
         if not 1 <= self.g <= self.p - 1:
             raise DomainError(f"base {self.g} outside [1, {self.p - 1}]")
 
@@ -237,8 +244,7 @@ def pq_dh(
     exchange g1^a and g1^b publicly; both sides derive g1^(a*b) mod p.
     Mismatched derivations are reported via `agreed=False`, never silently.
     """
-    if p < 3 or not is_probable_prime(p):
-        raise DomainError(f"modulus {p} is not an odd prime")
+    _check_modulus(p)
     _check_secret(a, p)
     _check_secret(b, p)
     width = window.length

@@ -10,6 +10,7 @@ Conventions, fixed once for the whole package:
   each one also runs on a stack of states along leading batch axes, row by
   row with the same arithmetic as on a single state.
 * Operations are pure: they return fresh states and never mutate inputs.
+* `apply_gate` checks a whole gate sequence up front and builds one `StateVector`.
 * Randomness enters only through an explicitly injected
   ``numpy.random.Generator``; the module holds no ambient RNG state.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -161,10 +163,14 @@ def _apply(amps: np.ndarray, gate: GateSpec) -> np.ndarray:
     return _apply_single(amps, gate.targets[0], matrix)
 
 
-def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
-    """Return U|state> for the gate's unitary."""
-    _check_targets(state, gate.targets)
-    return StateVector(state.n_qubits, _apply(state.amplitudes, gate))
+def apply_gate(state: StateVector, *gates: GateSpec) -> StateVector:
+    """Return U_k ... U_1|state> for gates U_1 ... U_k in order; no gates is the identity.
+
+    Every gate is checked against the state before the first kernel runs, and
+    only the result is built, and norm-checked, as a `StateVector`."""
+    for gate in gates:
+        _check_targets(state, gate.targets)
+    return StateVector(state.n_qubits, reduce(_apply, gates, state.amplitudes))
 
 
 def _p1(amps: np.ndarray, qubit: int) -> np.ndarray:

@@ -81,10 +81,7 @@ def _bell_frame(input_state: StateVector) -> StateVector:
     amps = np.zeros(8, dtype=complex)
     amps[0] = input_state.amplitudes[0]
     amps[1] = input_state.amplitudes[1]
-    state = StateVector(3, amps)
-    for gate in _BELL_FRAME:
-        state = apply_gate(state, gate)
-    return state
+    return apply_gate(StateVector(3, amps), *_BELL_FRAME)
 
 
 def _receiver_state(amps: np.ndarray, bit_z, bit_x) -> np.ndarray:
@@ -95,11 +92,7 @@ def _receiver_state(amps: np.ndarray, bit_z, bit_x) -> np.ndarray:
 
 def _correct(receiver: StateVector, bit_z: int, bit_x: int) -> StateVector:
     """The receiver-side correction: X if bit_x is 1, then Z if bit_z is 1."""
-    if bit_x:
-        receiver = apply_gate(receiver, x(0))
-    if bit_z:
-        receiver = apply_gate(receiver, z(0))
-    return receiver
+    return apply_gate(receiver, *(x(0),) * bit_x, *(z(0),) * bit_z)
 
 
 def teleport_state(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkeylab import broadcast, cli, clocksync, coinflip, ecurve, keyexchange, qwalk
+from qkeylab import broadcast, cli, clocksync, coinflip, ecurve, keyexchange, numtheory, qwalk
 from qkeylab.errors import ConfigError
 from qkeylab.cli import (
     DEFAULT_MASTER_SEED,
@@ -252,6 +252,8 @@ WALK_CAP_CASES = [
     ["qwalk-sweep", "--sizes", ",".join(["16"] * (qwalk.MAX_SWEEP_SIZES + 1))],
     ["qwalk-sweep", "--sizes", ",".join(str(n * n) for n in range(4, 5 + qwalk.MAX_SWEEP_SIZES))],
 ]
+# A modulus past numtheory.MAX_PRIME_BITS, refused before the primality test.
+MODULUS_CAP_CASES = [["dh", "--p", str((1 << numtheory.MAX_PRIME_BITS) + 1)]]
 CAP_CASES = [
     ["density", "--a", "0", "--b", "-2", "--x", str(ecurve.MAX_SCAN + 1)],
     ["prng", "--bits", str(ecurve.MAX_SCAN + 1)],
@@ -260,6 +262,7 @@ CAP_CASES = [
     ["coinflip", "--b", str(10**400)],
     ["coinflip", "--challenge-factor", "100000"],
     *WALK_CAP_CASES,
+    *MODULUS_CAP_CASES,
 ]
 
 # Sizes past a cap and geometries that place a window nowhere on the stream:
@@ -394,10 +397,20 @@ class TestInputContract:
             (coinflip, "zeta_coefficients"),
             (qwalk, "walk_distribution"),
             (qwalk, "success_probability_trace"),
+            (keyexchange, "is_probable_prime"),
         ):
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_sync_window_too_small_for_its_rungs_exits_2(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a rung drew its shots before the check")
+
+        monkeypatch.setattr(clocksync, "_estimate_turns", refuse)
+        assert main(["clocksync", "--trials", "2", "--n-bits", "40", "--t-max-ns", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_max_ns") and "n_bits" in err
 
     @pytest.mark.parametrize("sizes", ["16,16", "16,+16"])
     def test_repeated_sweep_sizes_exit_2_before_any_walk(self, sizes, monkeypatch, capsys):
@@ -529,7 +542,10 @@ def test_cli_process_never_prints_traceback():
         (["dh", "--p", "abc"], None, 2),
         (["dh"], "xyz", 2),
         (["teleport-demo", "--trials", "0"], None, 2),
-        *((argv, None, 2) for argv in STREAM_CAP_CASES + GEOMETRY_CASES + WALK_CAP_CASES),
+        *(
+            (argv, None, 2)
+            for argv in STREAM_CAP_CASES + GEOMETRY_CASES + WALK_CAP_CASES + MODULUS_CAP_CASES
+        ),
     ]:
         proc_env = env if env_seed is None else {**env, ENV_MASTER_SEED: env_seed}
         proc = subprocess.run(

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from qkeylab import clocksync
 from qkeylab.errors import DomainError
 from qkeylab.clocksync import (
+    SYNC_N_BITS,
+    SYNC_T_MAX_NS,
+    TWO_PI,
     Clock,
     SyncResult,
     ticking_qubit_sync,
 )
+from qkeylab.qstate import apply_gate, h, measurement_probabilities, new_basis_state, phase
 
 T_MAX = 1.6384e6  # ns
 
@@ -87,3 +92,32 @@ class TestClock:
         with pytest.raises(DomainError):
             Clock(float("nan"))
         assert Clock(-125.5).offset_ns == -125.5
+
+
+def chained_quadrature_p1(phi, extra_phase):
+    """The rung circuit one validated gate at a time: the oracle of the one-call circuit."""
+    sv = new_basis_state(1, 0)
+    sv = apply_gate(sv, h(0))
+    sv = apply_gate(sv, phase(phi + extra_phase, 0))
+    sv = apply_gate(sv, h(0))
+    return measurement_probabilities(sv, 0)[1]
+
+
+def test_quadrature_p1_equals_the_chained_circuit_bitwise():
+    # Every rung angle of the default ladder for 360 offsets across the window
+    # (two of them the window's centre and edge), in both quadratures, plus
+    # angles up to the top rung of the deepest ladder.
+    rng = np.random.default_rng(11)
+    deltas = np.concatenate(
+        [[0.0, np.nextafter(SYNC_T_MAX_NS / 2, 0.0)], rng.uniform(-0.5, 0.5, 358) * SYNC_T_MAX_NS]
+    )
+    phis = [
+        TWO_PI * (1 << k) / SYNC_T_MAX_NS * float(delta)
+        for delta in deltas
+        for k in range(SYNC_N_BITS)
+    ]
+    phis += [math.pi, -math.pi, TWO_PI * 2.0**51, -(TWO_PI * 2.0**51) / 3.0]
+    angles = [(phi, extra) for phi in phis for extra in (0.0, -math.pi / 2.0)]
+    assert len(angles) >= 10_000
+    for phi, extra in angles:
+        assert clocksync._quadrature_p1(phi, extra) == chained_quadrature_p1(phi, extra)

@@ -1,4 +1,4 @@
-"""Size caps on primes, stream reads, storage spans, sync ladders, teleported
+"""Size caps on primes and moduli, stream reads, storage spans, sync ladders, teleported
 integers, slot schedules, walk graphs, searches, traces and sweeps, and the
 stream-position check on receiver geometry."""
 import math
@@ -17,7 +17,7 @@ from qkeylab.broadcast import (
 )
 from qkeylab.clocksync import Clock, ticking_qubit_sync
 from qkeylab.errors import DomainError, ResourceError
-from qkeylab.keyexchange import PartySecret, pq_dh, private_exchange
+from qkeylab.keyexchange import DhParams, PartySecret, pq_dh, private_exchange
 from qkeylab.teleport import teleport_index
 
 
@@ -70,6 +70,12 @@ def test_sync_ladder_limits_fire_before_drawing(n_bits, t_max_ns):
         ticking_qubit_sync(0.0, n_bits, t_max_ns, 100, RefusingGenerator())
 
 
+def test_sync_window_too_small_for_its_rungs_fires_before_drawing():
+    # The top rung's rate 2*pi*2^39 / 1e-300 overflows to inf.
+    with pytest.raises(DomainError, match="t_max_ns .* n_bits"):
+        ticking_qubit_sync(0.0, 40, 1e-300, 100, RefusingGenerator())
+
+
 def test_sync_ladder_runs_at_its_cap():
     rng = np.random.default_rng(3)
     result = ticking_qubit_sync(1e3, clocksync.MAX_SYNC_BITS, 1e6, 2, rng)
@@ -94,6 +100,37 @@ def test_pq_dh_window_past_the_teleport_cap_fires_before_the_sync():
     window = KeyWindow(0.0, teleport.MAX_TELEPORT_BITS + 1)
     with pytest.raises(ResourceError, match="cap"):
         pq_dh(*_link(), window, 23, PartySecret(3), PartySecret(5), RefusingGenerator())
+
+
+def _refuse_primality_tests(monkeypatch):
+    def refuse(n):
+        raise AssertionError("primality test started past the modulus cap")
+
+    monkeypatch.setattr(keyexchange, "is_probable_prime", refuse)
+
+
+# 2^1024 - 105 is the largest 1024-bit prime; 2^1024 + 1 has 1025 bits.
+PRIME_1024 = (1 << 1024) - 105
+
+
+def test_modulus_cap_fires_before_the_primality_test(monkeypatch):
+    _refuse_primality_tests(monkeypatch)
+    with pytest.raises(ResourceError, match="cap"):
+        DhParams((1 << numtheory.MAX_PRIME_BITS) + 1, 3)
+
+
+def test_pq_dh_modulus_cap_fires_before_the_primality_test_and_the_sync(monkeypatch):
+    _refuse_primality_tests(monkeypatch)
+    p = (1 << numtheory.MAX_PRIME_BITS) + 1
+    with pytest.raises(ResourceError, match="cap"):
+        pq_dh(*_link(), KeyWindow(0.0, 8), p, PartySecret(3), PartySecret(5), RefusingGenerator())
+
+
+def test_modulus_at_the_cap_is_accepted():
+    assert PRIME_1024.bit_length() == numtheory.MAX_PRIME_BITS
+    assert DhParams(PRIME_1024, 3).p == PRIME_1024
+    with pytest.raises(DomainError, match="not an odd prime"):
+        DhParams(PRIME_1024 - 2, 3)
 
 
 def test_slot_bits_cap_fires_before_the_sync():

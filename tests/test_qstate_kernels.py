@@ -3,7 +3,9 @@
 The reference functions below are the index-mask kernels the view replaced:
 each derives the positions of qubit q from a fresh `np.arange` of the basis
 indices. They stay here as the oracle for the fast path. A stack of states
-along leading batch axes must give each state's own result, bit for bit.
+along leading batch axes must give each state's own result, bit for bit, and
+one `apply_gate` call over a gate sequence must equal the single-gate calls
+folded in order.
 """
 import itertools
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from qkeylab import qstate
+from qkeylab.errors import DomainError
 from qkeylab.qstate import StateVector, cnot, h, new_basis_state, phase, x, z
 from qkeylab.teleport import teleport_branches, teleport_state
 
@@ -183,3 +186,66 @@ def test_teleported_receiver_is_the_sampled_branch_corrected():
         )
         seen.add((record.outcome.bit_z, record.outcome.bit_x))
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def random_gates(n, count, rng):
+    kinds = ("H", "X", "Z", "PHASE") + (("CNOT",) if n > 1 else ())
+    gates = []
+    for kind in rng.choice(kinds, size=count):
+        if kind == "CNOT":
+            control, target = rng.choice(n, size=2, replace=False).tolist()
+            gates.append(cnot(control, target))
+        elif kind == "PHASE":
+            gates.append(phase(float(rng.uniform(-10.0, 10.0)), int(rng.integers(n))))
+        else:
+            gates.append({"H": h, "X": x, "Z": z}[kind](int(rng.integers(n))))
+    return gates
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_gate_sequence_equals_single_gate_calls_folded_in_order(n):
+    rng = np.random.default_rng(700 + n)
+    seen = set()
+    for trial in range(60):
+        state = random_state(n, 800 + 100 * n + trial)
+        before = state.amplitudes.copy()
+        gates = random_gates(n, int(rng.integers(0, 7)), rng)
+        want = state
+        for gate in gates:
+            want = qstate.apply_gate(want, gate)
+        got = qstate.apply_gate(state, *gates)
+        assert got.n_qubits == n
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        np.testing.assert_array_equal(state.amplitudes, before)
+        seen.update(gate.kind for gate in gates)
+        seen.add(len(gates))
+    assert seen >= {0, 6, "H", "X", "Z", "PHASE"} | ({"CNOT"} if n > 1 else set())
+
+
+def test_a_bad_target_anywhere_in_the_sequence_fails_before_any_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a kernel ran before every gate was checked")
+
+    monkeypatch.setattr(qstate, "_apply", refuse)
+    state = new_basis_state(2, 0)
+    for last in (h(2), cnot(0, 2), cnot(3, 1)):
+        with pytest.raises(DomainError, match="out of range"):
+            qstate.apply_gate(state, h(0), cnot(0, 1), phase(0.3, 1), last)
+
+
+@pytest.mark.parametrize("count", range(0, 7))
+def test_one_statevector_is_built_per_call(count, monkeypatch):
+    state = random_state(3, 900 + count)
+    gates = random_gates(3, count, np.random.default_rng(count))
+    built = []
+    check = qstate.StateVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(qstate.StateVector, "__post_init__", counting)
+    out = qstate.apply_gate(state, *gates)
+    assert len(built) == 1 and built[0] is out
+    if count == 0:
+        assert out is not state and np.array_equal(out.amplitudes, state.amplitudes)
