@@ -4,8 +4,9 @@ One party (Alice) commits to a secret curve by publishing the first m
 coefficients of its multiplicative trace sequence; the other (Bob) challenges
 with primes beyond the committed range. The parity pair at the challenge
 primes decides the toss: (odd, even) is heads, (even, odd) is tails, anything
-else is retried. After the verdict Alice reveals the curve and Bob recomputes
-everything she ever sent.
+else is retried. Each parity comes from the O(log p) root test of
+`ecurve._trace_is_even`; only the commitment needs point counts. After the
+verdict Alice reveals the curve and Bob recomputes everything she ever sent.
 
 For a degree-6 curve parities are odd with asymptotic frequency 1/3, so each
 trial decides with probability about 2/9 + 2/9 = 4/9 and, when it decides,
@@ -23,7 +24,7 @@ from .ecurve import (
     MAX_ZETA_LENGTH,
     Curve,
     ZetaCoeffs,
-    prime_coefficient,
+    _trace_is_even,
     splitting_degree,
     zeta_coefficients,
 )
@@ -78,7 +79,12 @@ class SessionResult:
 
 
 def commitment_length(B: int, k: int) -> int:
-    """m = floor(log2(B)^k)."""
+    """m = floor(log2(B)^k), for B >= 2 and k >= 1, up to 2^64."""
+    if B < 2 or k < 1:
+        raise DomainError(f"need B >= 2 and k >= 1, got B={B}, k={k}")
+    # Test in log space first: log2(B)^k overflows a float long before k is large.
+    if k * math.log2(math.log2(B)) > 64:
+        raise ResourceError(f"commitment length log2({B})^{k} exceeds 2^64")
     return int(math.floor(math.log2(B) ** k))
 
 
@@ -88,13 +94,9 @@ def alice_setup(B: int, k: int, rng: np.random.Generator, challenge_factor: int 
         raise DomainError(f"need B >= 16, got {B}")
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")
-    # Test in log space first: log2(B)^k overflows a float long before k is large.
-    if k * math.log2(math.log2(B)) > 64 or (m := commitment_length(B, k)) > MAX_COMMITMENT:
+    if (m := commitment_length(B, k)) > MAX_COMMITMENT:
         raise ResourceError(f"commitment length log2({B})^{k} exceeds the cap {MAX_COMMITMENT}")
-    if challenge_factor * m > MAX_TABLE_PRIME:
-        raise ResourceError(
-            f"challenge primes up to {challenge_factor * m} exceed the table cap {MAX_TABLE_PRIME}"
-        )
+    _check_challenge_range(m, challenge_factor)
     a_cap = int((B / 2) ** (1 / 3)) + 1
     b_cap = math.isqrt(2 * B // 27) + 1
     for _ in range(_SETUP_BUDGET):
@@ -116,12 +118,21 @@ def alice_setup(B: int, k: int, rng: np.random.Generator, challenge_factor: int 
     raise ResourceError(f"no qualifying curve with discriminant in [{B}, {2 * B}]; enlarge B")
 
 
+def _check_challenge_range(m: int, challenge_factor: int) -> None:
+    """Refuse a challenge sieve past the cap, before it is built."""
+    if challenge_factor * m > MAX_TABLE_PRIME:
+        raise ResourceError(
+            f"challenge primes up to {challenge_factor * m} exceed the table cap {MAX_TABLE_PRIME}"
+        )
+
+
 def bob_choose_primes(
     m: int, rng: np.random.Generator, challenge_factor: int = 10
 ) -> tuple[int, int]:
     """Two random primes m < p < p' drawn from (m, challenge_factor * m]."""
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
+    _check_challenge_range(m, challenge_factor)
     pool = primes_up_to(challenge_factor * m)
     pool = pool[pool > m]
     if len(pool) < 2:
@@ -146,7 +157,7 @@ def _judge(curve: Curve, p: int, p_prime: int) -> Trial:
     where a parity is the curve's trace parity at that prime."""
     if curve.discriminant % p == 0 or curve.discriminant % p_prime == 0:
         return Trial(p, p_prime, None, RETRY, bad_prime=True)
-    parities = (prime_coefficient(curve, p) & 1, prime_coefficient(curve, p_prime) & 1)
+    parities = (int(not _trace_is_even(curve, p)), int(not _trace_is_even(curve, p_prime)))
     return Trial(p, p_prime, parities, {(1, 0): HEADS, (0, 1): TAILS}.get(parities, RETRY))
 
 
@@ -174,7 +185,11 @@ def bob_verify(session: CoinFlipSession) -> VerifyResult:
         return VerifyResult(False, "discriminant outside [B, 2B]")
     if splitting_degree(curve.a, curve.b) != 6:
         return VerifyResult(False, "curve is not splitting degree 6")
-    if session.m != commitment_length(session.B, session.k):
+    try:
+        length_ok = session.m == commitment_length(session.B, session.k)
+    except (DomainError, ResourceError):  # a k no setup admits
+        length_ok = False
+    if not length_ok:
         return VerifyResult(False, "commitment length mismatch")
     recomputed = zeta_coefficients(curve, session.m)
     diff = np.nonzero(recomputed.values != session.commitment.values)[0]

@@ -1,16 +1,16 @@
 """Elliptic curves y^2 = x^3 + ax + b over prime fields, at desk scale.
 
-Two point-count paths. The exact count #E(F_p) is an O(p) quadratic-residue
-table scan, capped at `MAX_TABLE_PRIME`; it gives the trace values
-a_p = p + 1 - #E(F_p) and their multiplicative extension a_n to all indices.
-Parity scans and the parity-stream generator need only a_p mod 2, which costs
-O(log p) per prime: p + 1 is even, so a_p is even exactly when #E(F_p) is,
-that is, when E has a point of order 2 over F_p, a point (r, 0) with r a root
-of x^3 + ax + b mod p. `_trace_is_even` decides that for a whole array of
-primes at once from x^p mod (f, p) and the quadratic character of the cubic's
-discriminant. The remaining pieces are the splitting-degree classification of
-the cubic over the rationals, parity-density scans, and a deterministic
-parity-stream generator whose zero frequency tends to 2/3.
+One parity path: parity scans, the parity-stream generator and coin-flip
+trials need only a_p mod 2, which costs O(log p) per prime: p + 1 is even, so
+a_p is even exactly when #E(F_p) is, that is, when E has a point of order 2
+over F_p, a point (r, 0) with r a root of x^3 + ax + b mod p. `_trace_is_even`
+decides that from x^p mod (f, p) and the quadratic character of the cubic's
+discriminant, for one prime (an int) or an array of primes at once. The exact
+count #E(F_p), an O(p) quadratic-residue table scan capped at
+`MAX_TABLE_PRIME`, only gives the values a_p = p + 1 - #E(F_p) of the
+coefficient sequence a(1..m). The remaining pieces are the splitting-degree
+classification of the cubic over the rationals, parity-density scans, and a
+deterministic parity-stream generator whose zero frequency tends to 2/3.
 
 Discriminant sign convention: `Curve.discriminant` is 4a^3 + 27b^2 (used for
 good/bad prime tests and the commitment interval in the coin-flip protocol);
@@ -30,7 +30,7 @@ from .numtheory import is_probable_prime, primes_up_to
 
 _ODD_SAMPLE_CAP = 32
 MAX_SCAN = 10**6  # largest prime bound of a parity scan and length of a parity stream
-MAX_TABLE_PRIME = 1 << 22  # largest p for the O(p) tables (a few int64 arrays of length p)
+MAX_TABLE_PRIME = 1 << 22  # largest p of the O(p) point-count tables and the coin-flip challenge sieve
 MAX_ZETA_LENGTH = 1 << 16  # a(1..m) costs ~m^2 / log m; m = 6^7 took minutes
 _ZETA_MEMO = 64  # coefficient sequences kept by `zeta_coefficients`
 _SELECT_BOUND = 16  # select_curve draws a and b from [-16, 16]
@@ -176,15 +176,6 @@ def _prime_coefficient_sieved(curve: Curve, p: int) -> int:
     return p + 1 - _count_points_table(curve, p)
 
 
-def prime_coefficient(curve: Curve, p: int) -> int:
-    """a(p) for prime p: the trace for good primes, the reduction-type
-    convention (0, +1, -1) for primes dividing the discriminant; a(2) = 0,
-    and a(3) comes from the same residue-table count as every odd prime."""
-    if not is_probable_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return _prime_coefficient_sieved(curve, p)
-
-
 def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
     """a(1..m): a(p) from the curve, prime powers by the standard recursion
     a(p^k) = a(p) a(p^(k-1)) - p a(p^(k-2)) at good primes (a(p)^k at bad
@@ -235,27 +226,30 @@ class DensityReport:
     odd_primes_sample: tuple[int, ...]
 
 
-def _residues(n: int, primes: np.ndarray) -> np.ndarray:
-    """n mod p for each p < 2^32, exact for a Python int n of any size:
-    Horner's rule over 31-bit limbs keeps every partial value below 2^63."""
-    r = np.zeros_like(primes)
+def _residues(n: int, primes):
+    """n mod p for each p < 2^32 of an int64 array (or one int p), exact for a
+    Python int n of any size: Horner's rule over 31-bit limbs keeps every
+    partial value below 2^63."""
+    r = primes * 0
     m = abs(n)
     for shift in range(m.bit_length() // 31 * 31, -1, -31):
         r = ((r << 31) + ((m >> shift) & 0x7FFFFFFF)) % primes
     return r if n >= 0 else -r % primes
 
 
-def _trace_is_even(curve: Curve, primes: np.ndarray) -> np.ndarray:
-    """Whether a_p is even at each prime of `primes`, all good and in (3, 3.03e9).
+def _trace_is_even(curve: Curve, primes):
+    """Whether a_p is even at each prime of `primes`, all good and in (3, 3.03e9):
+    a bool for an int, a bool array for an int64 array.
 
     a_p is even iff f = x^3 + ax + b has a root mod p. With r roots in F_p,
     x^p = x in F_p[x]/(f) iff r = 3, and r = 1 iff the cubic's discriminant
     -(4a^3 + 27b^2) is a non-residue (Frobenius acts on the roots as an odd
     permutation, a transposition); otherwise r = 0. So the root test is
     gcd(x^p - x, f) != 1 without a gcd. One square-and-multiply pass over the
-    bits of max(primes) computes x^p (degree <= 2 residues c0 + c1 x + c2 x^2)
-    and disc^((p-1)/2) for every prime at once. Every product of two residues
-    is reduced before it is added, so int64 is exact while p^2 < 2^63.
+    bits of max(primes), selecting with c + bit * (s - c), computes x^p
+    (degree <= 2 residues c0 + c1 x + c2 x^2) and disc^((p-1)/2) for every
+    prime at once. Every product of two residues is reduced before it is
+    added, so int64 is exact while p^2 < 2^63.
     """
     p = primes
     a, b = _residues(curve.a, p), _residues(curve.b, p)
@@ -264,9 +258,12 @@ def _trace_is_even(curve: Curve, primes: np.ndarray) -> np.ndarray:
     def mul(u, v):
         return u * v % p
 
-    c0, c1, c2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
-    legendre = np.ones_like(p)
-    for i in range(int(p.max(initial=0)).bit_length() - 1, -1, -1):
+    nb, disc1 = -b % p, disc - 1
+    c0, c1, c2 = p * 0 + 1, p * 0, p * 0
+    legendre, bit = c0, c1
+    for i in range(int(np.asarray(p).max(initial=0)).bit_length() - 1, -1, -1):
+        # disc^((p-1)/2): bit i of (p-1)/2 is bit i+1 of p, the previous `bit`.
+        legendre = mul(mul(legendre, legendre), 1 + bit * disc1)
         # Square, then fold x^4 = -ax^2 - bx and x^3 = -ax - b back in.
         d3 = 2 * mul(c1, c2) % p
         d4 = mul(c2, c2)
@@ -274,15 +271,12 @@ def _trace_is_even(curve: Curve, primes: np.ndarray) -> np.ndarray:
         new1 = (2 * mul(c0, c1) - mul(b, d4) - mul(a, d3)) % p
         c0, c1, c2 = (mul(c0, c0) - mul(b, d3)) % p, new1, new2
         # Multiply by x where bit i of p is set: x^3 again folds to -ax - b.
-        bit = (p >> i) & 1 == 1
+        bit = (p >> i) & 1
         c0, c1, c2 = (
-            np.where(bit, -mul(b, c2) % p, c0),
-            np.where(bit, (c0 - mul(a, c2)) % p, c1),
-            np.where(bit, c1, c2),
+            c0 + bit * (mul(nb, c2) - c0),
+            c1 + bit * ((c0 - mul(a, c2)) % p - c1),
+            c2 + bit * (c1 - c2),
         )
-        # disc^((p-1)/2): bit i of (p-1)/2 is bit i+1 of p.
-        legendre = mul(legendre, legendre)
-        legendre = np.where((p >> (i + 1)) & 1 == 1, mul(legendre, disc), legendre)
     three_roots = (c0 == 0) & (c1 == 1) & (c2 == 0)
     return three_roots | (legendre == p - 1)
 
@@ -327,6 +321,8 @@ def parity_density_scan(curve: Curve, x_bound: int) -> DensityReport:
 
 def select_curve(seed: int) -> Curve:
     """Deterministically pick a splitting-degree-6 curve from a seeded scan."""
+    if seed < 0:
+        raise DomainError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(_SELECT_BUDGET):
         a = int(rng.integers(-_SELECT_BOUND, _SELECT_BOUND + 1))

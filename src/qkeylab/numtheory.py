@@ -1,14 +1,18 @@
 """Small number-theory helpers: primality, prime sieves, random primes."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Deterministic Miller-Rabin witnesses: the primes up to 41 leave no strong
-# pseudoprime below psi_13 ~ 3.3e24 (Sorenson-Webster 2015), far beyond the
-# 64-bit moduli used here; stopping at 37 accepts psi_12 ~ 3.19e23 itself.
+# Miller-Rabin witnesses: the primes up to 41 leave no strong pseudoprime below
+# psi_13 (Sorenson-Webster 2015); stopping at 37 accepts psi_12 ~ 3.19e23
+# itself. From psi_13 on, chosen composites pass all 13 bases (Arnault 1995),
+# so a strong Lucas test follows them there.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -17,7 +21,9 @@ MAX_PRIME_BITS = 1024
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin over the prime bases 2..41 (deterministic below 3.3e24)."""
+    """Miller-Rabin over the prime bases 2..41, deterministic below
+    psi_13 ~ 3.3e24; from psi_13 on, also a strong Lucas test (Baillie-PSW,
+    which has no known counterexample)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -37,7 +43,60 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of an odd n > 1 with Selfridge's parameters: D the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D) / 4
+    (Baillie-Wagstaff 1980). Composites such as 5459 pass it; it is only
+    sound after Miller-Rabin."""
+    if math.isqrt(n) ** 2 == n:  # no D with (D/n) = -1 exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):  # x / 2 mod n, n odd
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    # U_k, V_k, Q^k mod n from k = 1 up to k = d, one bit of d at a time.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def random_below(bound: int, rng: np.random.Generator) -> int:

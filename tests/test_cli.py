@@ -217,6 +217,9 @@ def test_repro_report_matches_golden(scenario):
     assert run(config).render() == expected
 
 
+# psi_13, a composite that passes Miller-Rabin to every prime base up to 41.
+PSI_13_CASE = ["dh", "--p", "3317044064679887385961981", "--g", "3"]
+
 # (argv, QKEYLAB_MASTER_SEED or None, expected exit code)
 CONTRACT_CASES = [
     (["dh", "--p", "abc"], None, 2),
@@ -238,6 +241,7 @@ CONTRACT_CASES = [
     (["prng", "--bits", "0"], None, 2),
     (["eve-qwalk", "--depth", "7"], None, 2),
     (["dh", "--g", "0"], None, 2),
+    (PSI_13_CASE, None, 2),
     (["dh", "--instances", "-1"], None, 2),
     (["dh", "--workers", "-5"], None, 2),
     (["dh", "--master-seed", "0x10"], None, 0),
@@ -542,6 +546,7 @@ def test_cli_process_never_prints_traceback():
         (["dh", "--p", "abc"], None, 2),
         (["dh"], "xyz", 2),
         (["teleport-demo", "--trials", "0"], None, 2),
+        (PSI_13_CASE, None, 2),
         *(
             (argv, None, 2)
             for argv in STREAM_CAP_CASES + GEOMETRY_CASES + WALK_CAP_CASES + MODULUS_CAP_CASES

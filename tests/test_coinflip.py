@@ -5,7 +5,7 @@ import pytest
 
 from qkeylab import coinflip, ecurve
 from qkeylab.errors import DomainError, ResourceError
-from qkeylab.ecurve import Curve, prime_coefficient, splitting_degree, zeta_coefficients
+from qkeylab.ecurve import Curve, _zeta_values, frobenius_trace, splitting_degree, zeta_coefficients
 from qkeylab.coinflip import (
     HEADS,
     MAX_COMMITMENT,
@@ -40,6 +40,11 @@ class TestSetup:
 
     def test_commitment_length_power_of_two_base(self):
         assert commitment_length(1024, 3) == 1000
+
+    @pytest.mark.parametrize("B, k", [(0, 3), (-1, 3), (1, 3), (64, 0)])
+    def test_commitment_length_domain(self, B, k):
+        with pytest.raises(DomainError, match="B >= 2 and k >= 1"):
+            commitment_length(B, k)
 
     def test_parameter_floors(self):
         rng = np.random.default_rng(1)
@@ -80,7 +85,7 @@ class TestTrials:
             if all(p % q for q in range(2, int(p**0.5) + 1)):
                 if session.curve.discriminant % p == 0:
                     continue
-                if prime_coefficient(session.curve, p) & 1 == parity:
+                if frobenius_trace(session.curve, p) & 1 == parity:
                     return p
 
     def test_verdict_mapping(self):
@@ -123,6 +128,26 @@ class TestTrials:
         session.curve = Curve(4, -3)
         trial = run_trial(session, 521, 523)
         assert trial.parities == (1, 1) and trial.verdict == RETRY
+
+    def test_parities_are_python_ints(self):
+        session = alice_setup(256, 3, np.random.default_rng(5))
+        trial = run_trial(session, 521, 523)
+        assert trial.parities == (0, 1)
+        assert all(type(parity) is int for parity in trial.parities)
+
+    def test_trials_and_verification_build_no_point_count_table(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        session = alice_setup(4096, 3, rng)
+        hits = _zeta_values.cache_info().hits
+
+        def refuse(*args):
+            raise AssertionError("a point-count table was built after setup")
+
+        monkeypatch.setattr(ecurve, "_count_points_table", refuse)
+        for _ in range(12):
+            run_trial(session, *bob_choose_primes(session.m, rng))
+        assert bob_verify(session).ok
+        assert _zeta_values.cache_info().hits == hits + 1  # bob_verify's commitment
 
     def test_composite_challenge_rejected(self):
         session = make_session(Curve(0, -2), 64, 3)
@@ -189,6 +214,12 @@ class TestVerification:
         session = self.honest_session()
         session.B *= 8  # discriminant no longer lies in [B, 2B]
         assert not bob_verify(session).ok
+
+    @pytest.mark.parametrize("k", [2, 0, 1000])  # 0 is outside commitment_length, 6^1000 overflows
+    def test_tampered_k_rejected(self, k):
+        session = self.honest_session()
+        session.k = k
+        assert bob_verify(session).failure == "commitment length mismatch"
 
     @pytest.mark.parametrize(
         "p, p_prime, bad_prime, reason",
@@ -287,8 +318,23 @@ class TestCommitmentCap:
         for B, k in ((64, 7), (64, 10**6), (10**400, 3)):
             with pytest.raises(ResourceError, match="commitment"):
                 alice_setup(B, k, rng)
+        with pytest.raises(ResourceError, match="commitment"):
+            commitment_length(64, 1000)  # 6^1000 overflows a float
         with pytest.raises(ResourceError, match="challenge"):
             alice_setup(64, 3, rng, challenge_factor=10**5)
+
+    def test_challenge_sieve_capped_where_it_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("challenge sieve built past the cap")
+
+        monkeypatch.setattr(coinflip, "primes_up_to", refuse)
+        with pytest.raises(ResourceError, match="challenge"):
+            bob_choose_primes(2**31, np.random.default_rng(1))  # a 20 GiB sieve
+        with pytest.raises(ResourceError, match="challenge"):
+            bob_choose_primes(ecurve.MAX_TABLE_PRIME // 10 + 1, np.random.default_rng(1))
+        monkeypatch.undo()
+        p, p_prime = bob_choose_primes(ecurve.MAX_TABLE_PRIME // 10, np.random.default_rng(1))
+        assert ecurve.MAX_TABLE_PRIME // 10 < p < p_prime <= ecurve.MAX_TABLE_PRIME
 
     def test_configured_lengths_fit(self):
         # The CLI default (B=64), the acceptance run (B=256) and the largest

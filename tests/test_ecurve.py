@@ -3,24 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from qkeylab import ecurve
+from qkeylab import ecurve, numtheory
 from qkeylab.errors import DomainError, ResourceError
 from qkeylab.numtheory import is_probable_prime, primes_up_to
 from qkeylab.ecurve import (
     _ZETA_MEMO,
     MAX_ZETA_LENGTH,
     _bad_prime_coefficient,
+    _prime_coefficient_sieved,
     _zeta_values,
     Curve,
     count_points,
     frobenius_trace,
     parity_density_scan,
     parity_prng,
-    prime_coefficient,
     select_curve,
     splitting_degree,
     zeta_coefficients,
 )
+from test_input_caps import ARNAULT_P1, BASE_41_PSEUDOPRIMES
 
 
 def brute_count(a, b, p):
@@ -192,7 +193,7 @@ class TestZetaCoefficients:
                 while n % p == 0:
                     n //= p
                     e += 1
-                ap = prime_coefficient(curve, p)
+                ap = _prime_coefficient_sieved(curve, p)
                 if curve.discriminant % p == 0:
                     term = ap**e
                 else:
@@ -242,7 +243,7 @@ class TestZetaCoefficients:
             for p in primes_up_to(200).tolist():
                 if p <= 3 or curve.discriminant % p:
                     continue
-                ap = prime_coefficient(curve, p)
+                ap = _prime_coefficient_sieved(curve, p)
                 assert ap in (-1, 0, 1)
                 assert ap == p + 1 - brute_count(curve.a, curve.b, p)
 
@@ -269,7 +270,7 @@ class TestZetaCoefficients:
     def test_additive_reduction_when_p_divides_both(self):
         curve = Curve(5, 25)  # disc = 4*125 + 27*625 = 17375 = 5^3 * 139
         assert curve.discriminant % 5 == 0
-        assert prime_coefficient(curve, 5) == 0
+        assert _prime_coefficient_sieved(curve, 5) == zeta_coefficients(curve, 5).values[4] == 0
 
     def test_invalid_length_rejected(self):
         with pytest.raises(DomainError):
@@ -345,6 +346,12 @@ class TestParityPrng:
         with pytest.raises(DomainError):
             parity_prng(1, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            select_curve(-1)
+        with pytest.raises(DomainError, match="seed"):
+            parity_prng(-1, 16)
+
 
 class TestPrimality:
     def test_against_sieve(self):
@@ -358,18 +365,42 @@ class TestPrimality:
         assert not is_probable_prime(318665857834031151167461)
         assert is_probable_prime(2**89 - 1)
 
+    def test_base_41_pseudoprimes_rejected(self, monkeypatch):
+        # psi_13 and Arnault's p1 * p2 * p3 pass Miller-Rabin to every prime
+        # base up to 41; the strong Lucas test exposes both.
+        p1 = ARNAULT_P1
+        assert all(is_probable_prime(q) for q in (p1, 53 * (p1 - 1) + 1, 61 * (p1 - 1) + 1))
+        assert not any(is_probable_prime(n) for n in BASE_41_PSEUDOPRIMES)
+        monkeypatch.setattr(numtheory, "_is_strong_lucas_probable_prime", lambda n: True)
+        assert all(is_probable_prime(n) for n in BASE_41_PSEUDOPRIMES)  # the 13 bases alone
+
+    def test_mersenne_primes_accepted(self):
+        for e in (127, 521, 607):
+            assert is_probable_prime(2**e - 1)
+        assert not is_probable_prime(2**523 - 1)  # 2^523 - 1 is composite
+
+    def test_lucas_step_alone_accepts_strong_lucas_pseudoprimes(self):
+        # OEIS A217255: composites that pass the strong Lucas test. Run
+        # after the Miller-Rabin bases it exposes no known composite; alone
+        # it is wrong, so it never runs alone.
+        for n in (5459, 5777, 10877):
+            assert numtheory._is_strong_lucas_probable_prime(n)
+            assert not is_probable_prime(n)
+        primes = primes_up_to(20_000)[1:].tolist()
+        assert all(numtheory._is_strong_lucas_probable_prime(p) for p in primes)
+
 
 class TestSmallPrimeCoefficients:
     def test_value_at_two_from_affine_count(self):
         # Over F_2 squaring is the identity, so every x gives exactly one y:
         # 2 affine points + infinity = 3, hence a(2) = 2 + 1 - 3 = 0.
-        assert prime_coefficient(Curve(1, 1), 2) == 0
+        assert _prime_coefficient_sieved(Curve(1, 1), 2) == 0
 
     def test_value_at_three_by_hand(self):
         # f(x) = x^3 + x + 1 mod 3 takes values 1, 0, 2 at x = 0, 1, 2;
         # squares mod 3 come with multiplicities {0: 1, 1: 2, 2: 0}, so the
         # affine count is 2 + 1 + 0 = 3 and a(3) = 3 + 1 - 4 = 0.
-        assert prime_coefficient(Curve(1, 1), 3) == 0
+        assert _prime_coefficient_sieved(Curve(1, 1), 3) == 0
 
     def test_values_at_two_and_three_from_affine_count(self):
         # Every curve of a small box with good reduction at p: the residue
@@ -384,7 +415,7 @@ class TestSmallPrimeCoefficients:
                 for p in (2, 3):
                     if disc % p:
                         expected = p + 1 - brute_count(a, b, p)
-                        assert prime_coefficient(Curve(a, b), p) == seq[p - 1] == expected
+                        assert _prime_coefficient_sieved(Curve(a, b), p) == seq[p - 1] == expected
                         checked += 1
         assert checked > 100
 

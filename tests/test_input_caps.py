@@ -133,6 +133,23 @@ def test_modulus_at_the_cap_is_accepted():
         DhParams(PRIME_1024 - 2, 3)
 
 
+# Composites that pass Miller-Rabin to every prime base up to 41: psi_13 and
+# Arnault's 225-bit p1 * p2 * p3.
+ARNAULT_P1 = 2065184673071070978043
+BASE_41_PSEUDOPRIMES = [
+    3317044064679887385961981,
+    ARNAULT_P1 * (53 * (ARNAULT_P1 - 1) + 1) * (61 * (ARNAULT_P1 - 1) + 1),
+]
+
+
+@pytest.mark.parametrize("n", BASE_41_PSEUDOPRIMES, ids=lambda n: f"{n.bit_length()}bits")
+def test_base_41_pseudoprime_modulus_rejected_before_the_sync(n):
+    with pytest.raises(DomainError, match="not an odd prime"):
+        DhParams(n, 3)
+    with pytest.raises(DomainError, match="not an odd prime"):
+        pq_dh(*_link(), KeyWindow(0.0, 8), n, PartySecret(3), PartySecret(5), RefusingGenerator())
+
+
 def test_slot_bits_cap_fires_before_the_sync():
     with pytest.raises(ResourceError, match="cap"):
         private_exchange(

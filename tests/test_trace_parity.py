@@ -1,5 +1,6 @@
-"""The O(log p) trace-parity path against its O(p) point-count twin, and the
-size caps of the parity scans and the point-count tables."""
+"""The O(log p) trace-parity path, for one prime or many, against its O(p)
+point-count twin, and the size caps of the parity scans and the point-count
+tables."""
 import math
 import random
 
@@ -13,12 +14,13 @@ from qkeylab.ecurve import (
     Curve,
     _count_points_table,
     _integer_roots,
+    _prime_coefficient_sieved,
     _residues,
     _trace_is_even,
     count_points,
+    frobenius_trace,
     parity_density_scan,
     parity_prng,
-    prime_coefficient,
     splitting_degree,
 )
 from qkeylab.errors import ResourceError
@@ -95,6 +97,48 @@ class TestAgainstPointCount:
             primes = good_primes(curve, 2000)
             twin = [python_trace_is_even(curve.a, curve.b, p) for p in primes.tolist()]
             assert twin == table_parity_is_even(curve, primes).tolist()
+
+
+def qualifying_curves(B):
+    """The coin-flip commitment space at B: every degree-6 curve with
+    discriminant in [B, 2B], from the coefficient box `alice_setup` draws from."""
+    a_cap, b_cap = int((B / 2) ** (1 / 3)) + 1, math.isqrt(2 * B // 27) + 1
+    return [
+        Curve(a, b)
+        for a in range(-a_cap, a_cap + 1)
+        for b in range(-b_cap, b_cap + 1)
+        if B <= 4 * a**3 + 27 * b**2 <= 2 * B and splitting_degree(a, b) == 6
+    ]
+
+
+class TestOnePrimeOrMany:
+    """The kernel on one int prime (coin-flip trials) and on an array (scans)
+    against the point-count oracle, on the challenge range (m, 10m]."""
+
+    @pytest.mark.parametrize("B, count, step", [(256, 20, 1), (4096, 232, 11)])
+    def test_int_and_array_paths_equal_the_oracle(self, B, count, step):
+        curves = qualifying_curves(B)
+        assert len(curves) == count
+        m = math.floor(math.log2(B) ** 3)
+        for curve in curves[::step]:
+            primes = good_primes(curve, 10 * m, lo=m + 1)
+            oracle = [frobenius_trace(curve, p) & 1 == 0 for p in primes.tolist()]
+            assert _trace_is_even(curve, primes).tolist() == oracle, curve
+            assert [_trace_is_even(curve, p) for p in primes.tolist()] == oracle, curve
+
+    def test_int_path_returns_a_bool(self):
+        for p in (5, 521, 17_209, 3_029_999_977):
+            assert type(_trace_is_even(Curve(0, -2), p)) is bool
+
+    def test_int_path_at_two_and_three(self):
+        # Below the scans' range the root test still gives the parity of the
+        # coefficient a(2) = 0 and of the residue-table a(3) at good primes.
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                for p in (2, 3):
+                    if (4 * a**3 + 27 * b**2) % p:  # good at p, so nonsingular
+                        even = _prime_coefficient_sieved(Curve(a, b), p) & 1 == 0
+                        assert _trace_is_even(Curve(a, b), p) == even, (a, b, p)
 
 
 class TestNearInt64Limit:
@@ -183,7 +227,11 @@ class TestCaps:
         with pytest.raises(ResourceError):
             count_points(Curve(1, 1), p)
         with pytest.raises(ResourceError):
-            prime_coefficient(Curve(1, 1), p)
+            frobenius_trace(Curve(1, 1), p)
+        with pytest.raises(ResourceError):
+            _prime_coefficient_sieved(Curve(1, 1), p)
         # p divides a, b and the discriminant p^2 (4p + 27): a cusp, whose
         # coefficient has a closed form at any p.
-        assert prime_coefficient(Curve(p, p), p) == 0
+        assert _prime_coefficient_sieved(Curve(p, p), p) == 0
+        # The parity needs no table at any p.
+        assert isinstance(_trace_is_even(Curve(1, 1), p), bool)
