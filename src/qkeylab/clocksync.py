@@ -11,7 +11,9 @@ of measured qubits per rung. Total qubit cost is linear in the number of
 digits resolved.
 
 Phase readout uses two measurement bases (cosine and sine quadratures) so
-the estimate lands in the correct half-plane.
+the estimate lands in the correct half-plane. Every rung's two readout
+circuits run as one stack through the qstate kernels, which gives one P(1)
+table per ladder; each rung then draws its own shots, cosine before sine.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .qstate import apply_gate, h, measurement_probabilities, new_basis_state, phase
+from .qstate import _apply, _p1, apply_gate, h, new_basis_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,21 +54,13 @@ class SyncResult:
     qubits_used: int
 
 
-def _quadrature_p1(phi: float, extra_phase: float) -> float:
-    """P(outcome 1) when reading the precessed qubit in a rotated basis."""
-    sv = apply_gate(new_basis_state(1, 0), h(0), phase(phi + extra_phase, 0), h(0))
-    return measurement_probabilities(sv, 0)[1]
-
-
-def _estimate_turns(phi: float, shots: int, rng: np.random.Generator) -> float:
-    """Estimate phi/(2*pi) in [-1/2, 1/2) from `shots` projective measurements."""
-    m_cos = shots // 2
-    m_sin = shots - m_cos
-    ones_cos = int((rng.random(m_cos) < _quadrature_p1(phi, 0.0)).sum())
-    ones_sin = int((rng.random(m_sin) < _quadrature_p1(phi, -math.pi / 2.0)).sum())
-    cos_est = 1.0 - 2.0 * ones_cos / m_cos
-    sin_est = 1.0 - 2.0 * ones_sin / m_sin
-    return math.atan2(sin_est, cos_est) / TWO_PI
+def _ladder_p1(phis: np.ndarray) -> np.ndarray:
+    """P(outcome 1) of each rung's precessed qubit read in the cosine (column 0)
+    and sine (column 1) basis: a (rungs, 2) table from one stack of circuits."""
+    start = apply_gate(new_basis_state(1, 0), h(0)).amplitudes
+    amps = np.tile(start, (len(phis), 2, 1))
+    amps[..., 1] *= np.exp(1j * (phis[:, None] + [0.0, -math.pi / 2.0]))
+    return _p1(_apply(amps, h(0)), 0)
 
 
 def ticking_qubit_sync(
@@ -100,10 +94,17 @@ def ticking_qubit_sync(
         raise DomainError(
             f"offset {true_delta_ns} ns outside the resolvable window +-{t_max_ns / 2} ns"
         )
+    phis = np.array([TWO_PI * (1 << k) / t_max_ns * true_delta_ns for k in range(n_bits)])
+    p1 = _ladder_p1(phis)
+    m_cos = shots_per_bit // 2
+    m_sin = shots_per_bit - m_cos
     delta_est = 0.0
     for k in range(n_bits):
-        phi = TWO_PI * (1 << k) / t_max_ns * true_delta_ns
-        turns = _estimate_turns(phi, shots_per_bit, rng)
+        ones_cos = int((rng.random(m_cos) < p1[k, 0]).sum())
+        ones_sin = int((rng.random(m_sin) < p1[k, 1]).sum())
+        cos_est = 1.0 - 2.0 * ones_cos / m_cos
+        sin_est = 1.0 - 2.0 * ones_sin / m_sin
+        turns = math.atan2(sin_est, cos_est) / TWO_PI  # phi / (2 pi) in [-1/2, 1/2)
         modulus = t_max_ns / (1 << k)
         residue = turns * modulus
         if k == 0:

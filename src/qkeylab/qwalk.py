@@ -112,6 +112,8 @@ class Graph:
 
 
 def _check_vertices(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"a graph needs >= 1 vertex, got {n}")
     if n > MAX_VERTICES:
         raise ResourceError(f"{n} vertices exceed the cap {MAX_VERTICES}")
 
@@ -293,7 +295,12 @@ class SweepPoint:
 
 
 def sweep_step_cap(n: int, cap_factor: float = 4.0) -> int:
-    return int(math.floor(cap_factor * math.sqrt(n * math.log2(n))))
+    if n < 1:
+        raise DomainError(f"need >= 1 vertex, got {n}")
+    bound = cap_factor * math.sqrt(n * math.log2(n))
+    if not 0.0 <= bound < math.inf:
+        raise DomainError(f"step bound {bound} (cap_factor {cap_factor}) must be finite and >= 0")
+    return int(math.floor(bound))
 
 
 def scaling_sweep(sizes, cap_factor: float = 4.0) -> list[SweepPoint]:

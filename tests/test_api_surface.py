@@ -24,6 +24,8 @@ KEPT_WITHOUT_CALLER = {
     "frobenius_trace",  # ecurve: a_p from a point count, the parity oracle
     "teleport_branches",  # teleport: all four outcomes of teleport_state
     "step",  # qwalk: one validated walk step, the oracle for the walk loop
+    "phase",  # qstate: the PHASE gate of the chained rung circuit, the clock-sync ladder's oracle
+    "measurement_probabilities",  # qstate: one state's Born weights, that oracle's readout
     # Entry points of the paper's models that no scenario runs yet.
     "crack_classic_dh",  # keyexchange: the eavesdropper who breaks classical DH
     "pq_candidate_keys",  # keyexchange: the eavesdropper's candidates in pq_dh

@@ -411,7 +411,7 @@ class TestInputContract:
         def refuse(*args):
             raise AssertionError("a rung drew its shots before the check")
 
-        monkeypatch.setattr(clocksync, "_estimate_turns", refuse)
+        monkeypatch.setattr(clocksync, "_ladder_p1", refuse)
         assert main(["clocksync", "--trials", "2", "--n-bits", "40", "--t-max-ns", "1e-300"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: t_max_ns") and "n_bits" in err
@@ -435,7 +435,7 @@ class TestInputContract:
             (keyexchange, "random_prime"),
             (broadcast, "bits_range"),
             (broadcast, "eve_store"),
-            (clocksync, "_estimate_turns"),
+            (clocksync, "_ladder_p1"),
         ):
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 2

@@ -103,10 +103,10 @@ def chained_quadrature_p1(phi, extra_phase):
     return measurement_probabilities(sv, 0)[1]
 
 
-def test_quadrature_p1_equals_the_chained_circuit_bitwise():
+def test_ladder_p1_equals_the_chained_circuit_bitwise():
     # Every rung angle of the default ladder for 360 offsets across the window
     # (two of them the window's centre and edge), in both quadratures, plus
-    # angles up to the top rung of the deepest ladder.
+    # angles up to the top rung of the deepest ladder, all in one stack.
     rng = np.random.default_rng(11)
     deltas = np.concatenate(
         [[0.0, np.nextafter(SYNC_T_MAX_NS / 2, 0.0)], rng.uniform(-0.5, 0.5, 358) * SYNC_T_MAX_NS]
@@ -117,7 +117,67 @@ def test_quadrature_p1_equals_the_chained_circuit_bitwise():
         for k in range(SYNC_N_BITS)
     ]
     phis += [math.pi, -math.pi, TWO_PI * 2.0**51, -(TWO_PI * 2.0**51) / 3.0]
-    angles = [(phi, extra) for phi in phis for extra in (0.0, -math.pi / 2.0)]
-    assert len(angles) >= 10_000
-    for phi, extra in angles:
-        assert clocksync._quadrature_p1(phi, extra) == chained_quadrature_p1(phi, extra)
+    assert 2 * len(phis) >= 10_000
+    table = clocksync._ladder_p1(np.array(phis))
+    assert table.shape == (len(phis), 2)
+    for phi, (p1_cos, p1_sin) in zip(phis, table):
+        assert p1_cos == chained_quadrature_p1(phi, 0.0)
+        assert p1_sin == chained_quadrature_p1(phi, -math.pi / 2.0)
+
+
+def quadrature_p1(phi, extra_phase):
+    """One rung's readout circuit as one validated call."""
+    sv = apply_gate(new_basis_state(1, 0), h(0), phase(phi + extra_phase, 0), h(0))
+    return measurement_probabilities(sv, 0)[1]
+
+
+def estimate_turns(phi, shots, rng):
+    """Estimate phi/(2*pi) in [-1/2, 1/2) from `shots` projective measurements."""
+    m_cos = shots // 2
+    m_sin = shots - m_cos
+    ones_cos = int((rng.random(m_cos) < quadrature_p1(phi, 0.0)).sum())
+    ones_sin = int((rng.random(m_sin) < quadrature_p1(phi, -math.pi / 2.0)).sum())
+    cos_est = 1.0 - 2.0 * ones_cos / m_cos
+    sin_est = 1.0 - 2.0 * ones_sin / m_sin
+    return math.atan2(sin_est, cos_est) / TWO_PI
+
+
+def per_rung_sync(true_delta_ns, n_bits, t_max_ns, shots_per_bit, rng):
+    """The ladder one rung at a time, two circuits per rung: the oracle of the
+    batched ladder (valid arguments only)."""
+    delta_est = 0.0
+    for k in range(n_bits):
+        phi = TWO_PI * (1 << k) / t_max_ns * true_delta_ns
+        turns = estimate_turns(phi, shots_per_bit, rng)
+        modulus = t_max_ns / (1 << k)
+        residue = turns * modulus
+        if k == 0:
+            delta_est = residue
+        else:
+            wraps = round((delta_est - residue) / modulus)
+            delta_est = residue + wraps * modulus
+    return SyncResult(delta_estimate_ns=delta_est, qubits_used=n_bits * shots_per_bit)
+
+
+@pytest.mark.parametrize(
+    "n_bits, shots, t_max_ns",
+    [
+        (SYNC_N_BITS, 100, SYNC_T_MAX_NS),
+        (20, 37, SYNC_T_MAX_NS),  # odd shots: one more sine shot than cosine
+        (1, 2, SYNC_T_MAX_NS),
+        (52, 3, 2.0**60),  # the rung cap
+    ],
+)
+def test_batched_ladder_equals_the_per_rung_ladder(n_bits, shots, t_max_ns):
+    # Same estimate and same generator state afterwards: the per-rung draws
+    # keep their order, cosine shots before sine shots. 253 offsets per shape,
+    # 1 012 in all.
+    edge = float(np.nextafter(t_max_ns / 2, 0.0))
+    deltas = [0.0, edge, -edge]
+    deltas += list(np.random.default_rng(n_bits).uniform(-0.5, 0.5, 250) * t_max_ns)
+    for i, delta in enumerate(deltas):
+        fast, slow = np.random.default_rng(i), np.random.default_rng(i)
+        assert ticking_qubit_sync(delta, n_bits, t_max_ns, shots, fast) == per_rung_sync(
+            delta, n_bits, t_max_ns, shots, slow
+        )
+        assert fast.random() == slow.random()

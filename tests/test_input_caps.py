@@ -212,6 +212,29 @@ def test_sweep_size_count_cap_fires_before_any_walk(monkeypatch):
     assert len(points) == qwalk.MAX_SWEEP_SIZES
 
 
+BAD_CAP_FACTORS = [math.nan, math.inf, -math.inf, 1e308]  # 1e308 overflows the step bound
+WALK_DOMAIN_CASES = [
+    (qwalk.torus_graph, (-1,)),
+    (qwalk.scaling_sweep, ([-1],)),
+    (qwalk.sweep_step_cap, (0,)),
+    (qwalk.sweep_step_cap, (-1,)),
+    *((qwalk.sweep_step_cap, (16, x)) for x in BAD_CAP_FACTORS),
+    *((qwalk.keyspace_grid_attack, (0, 6, x)) for x in BAD_CAP_FACTORS),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, call", WALK_DOMAIN_CASES, ids=[f"{fn.__name__}{call}" for fn, call in WALK_DOMAIN_CASES]
+)
+def test_walk_sizes_and_step_bounds_out_of_domain_raise_domain_error(fn, call, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk started before the check")
+
+    monkeypatch.setattr(qwalk, "success_probability_trace", refuse)
+    with pytest.raises(DomainError):
+        fn(*call)
+
+
 def test_storage_span_cap_fires_before_drawing():
     source = BroadcastSource(seed=7, bitrate=1e6)
     window = KeyWindow(1e6, 8)
