@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,9 +160,12 @@ def bits_to_int(bits: np.ndarray) -> int:
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
-    if value < 0 or (width < 1) or value >= (1 << width):
+    if width > MAX_WINDOW_BITS:
+        raise ResourceError(f"bit width {width} exceeds the cap {MAX_WINDOW_BITS}")
+    value = operator.index(value)
+    if value < 0 or width < 1 or value.bit_length() > width:
         raise DomainError(f"{value} does not fit in {width} bit(s)")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+    return np.unpackbits(np.frombuffer(value.to_bytes((width + 7) // 8, "big"), np.uint8))[-width:]
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
@@ -214,6 +218,8 @@ def eve_store(
         raise DomainError("storage span must be non-empty and non-negative")
     if span_length > MAX_STORAGE_SPAN:
         raise ResourceError(f"storage span {span_length} exceeds the cap {MAX_STORAGE_SPAN}")
+    if span_start + span_length > 1 << 63:
+        raise DomainError(f"storage span {span_start} + {span_length} passes the int64 range")
     budget = int(math.floor(stored_fraction * span_length))
     if strategy == "uniform":
         kept = rng.choice(span_length, size=budget, replace=False)

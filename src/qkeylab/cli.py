@@ -38,7 +38,7 @@ from .clocksync import (
 )
 from .errors import ConfigError, DomainError, QKeyLabError, ResourceError
 from .numtheory import MAX_PRIME_BITS, random_below
-from .seeds import derive_rng, derive_seed
+from .seeds import derive_rng
 
 ENV_MASTER_SEED = "QKEYLAB_MASTER_SEED"
 DEFAULT_MASTER_SEED = 12345
@@ -147,8 +147,7 @@ class RunReport:
 def _seeded_trial(trial, config: ScenarioConfig, i: int):
     """trial(i, rng, params) on trial i's own generator, derived from the
     master seed, the scenario name and i."""
-    rng = np.random.default_rng(derive_seed(config.master_seed, config.scenario, i))
-    return trial(i, rng, config.params)
+    return trial(i, derive_rng(config.master_seed, config.scenario, i), config.params)
 
 
 def _map_trials(trial, n_trials: int, config: ScenarioConfig):

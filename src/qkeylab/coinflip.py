@@ -221,29 +221,24 @@ def run_session(
     transcript.add(
         "commit",
         "alice",
-        "bob",
         "public",
         text_payload(",".join(str(v) for v in session.commitment.values.tolist())),
     )
     verdict = UNDECIDED
     for _ in range(max_rounds):
         p, p_prime = bob_choose_primes(session.m, rng, challenge_factor)
-        transcript.add("challenge", "bob", "alice", "public", text_payload(f"{p},{p_prime}"))
+        transcript.add("challenge", "bob", "public", text_payload(f"{p},{p_prime}"))
         trial = run_trial(session, p, p_prime)
         shown = "-" if trial.parities is None else f"{trial.parities[0]}{trial.parities[1]}"
-        transcript.add(
-            "trial", "alice", "bob", "public", text_payload(f"{shown},{trial.verdict}")
-        )
+        transcript.add("trial", "alice", "public", text_payload(f"{shown},{trial.verdict}"))
         if trial.verdict in (HEADS, TAILS):
             verdict = trial.verdict
             break
     transcript.add(
-        "reveal", "alice", "bob", "public", text_payload(f"{session.curve.a},{session.curve.b}")
+        "reveal", "alice", "public", text_payload(f"{session.curve.a},{session.curve.b}")
     )
     verified = bob_verify(session)
-    transcript.add(
-        "verify", "bob", "alice", "public", text_payload("ok" if verified.ok else "fail")
-    )
+    transcript.add("verify", "bob", "public", text_payload("ok" if verified.ok else "fail"))
     return SessionResult(
         verdict=verdict,
         n_trials=len(session.rounds),

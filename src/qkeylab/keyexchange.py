@@ -90,6 +90,8 @@ def flip_bit(value: int, index: int) -> int:
     """Flip bit `index` of `value`, counting from the least significant bit."""
     if index < 0:
         raise DomainError(f"bit index must be >= 0, got {index}")
+    if index >= MAX_TELEPORT_BITS:
+        raise ResourceError(f"bit index {index} exceeds the teleport cap {MAX_TELEPORT_BITS}")
     return value ^ (1 << index)
 
 
@@ -121,12 +123,12 @@ def classic_dh(params: DhParams, a: PartySecret, b: PartySecret) -> DhResult:
     _check_secret(a, params.p)
     _check_secret(b, params.p)
     t = Transcript()
-    t.add("params.p", "alice", "bob", "public", int_payload(params.p))
-    t.add("params.g", "alice", "bob", "public", int_payload(params.g))
+    t.add("params.p", "alice", "public", int_payload(params.p))
+    t.add("params.g", "alice", "public", int_payload(params.g))
     share_a = modexp(params.g, a.exponent, params.p)
     share_b = modexp(params.g, b.exponent, params.p)
-    t.add("share.alice", "alice", "bob", "public", int_payload(share_a))
-    t.add("share.bob", "bob", "alice", "public", int_payload(share_b))
+    t.add("share.alice", "alice", "public", int_payload(share_a))
+    t.add("share.bob", "bob", "public", int_payload(share_b))
     k_a = modexp(share_b, a.exponent, params.p)
     k_b = modexp(share_a, b.exponent, params.p)
     return DhResult(
@@ -156,15 +158,9 @@ def run_clock_sync(
 ) -> SyncContext:
     true_delta = bob.clock.offset_ns - alice.clock.offset_ns
     result = ticking_qubit_sync(true_delta, n_bits, t_max_ns, shots_per_bit, rng)
+    transcript.add("sync.qubits", "alice", "quantum", int_payload(result.qubits_used))
     transcript.add(
-        "sync.qubits", "alice", "bob", "quantum", int_payload(result.qubits_used)
-    )
-    transcript.add(
-        "sync.estimate",
-        "bob",
-        "alice",
-        "public",
-        text_payload(f"{result.delta_estimate_ns:.3f}"),
+        "sync.estimate", "bob", "public", text_payload(f"{result.delta_estimate_ns:.3f}")
     )
     return SyncContext(
         estimate_ns=result.delta_estimate_ns, error_ns=result.delta_estimate_ns - true_delta
@@ -185,14 +181,10 @@ def teleport_secret_int(
     appears in any record.
     """
     received, runs = teleport_index(value, bit_width, rng)
-    transcript.add(f"{step}.epr", "alice", "bob", "quantum", int_payload(bit_width))
+    transcript.add(f"{step}.epr", "alice", "quantum", int_payload(bit_width))
     for k, run in enumerate(runs):
         transcript.add(
-            f"{step}.outcome[{k}]",
-            "alice",
-            "bob",
-            "public",
-            bytes((run.outcome.bit_z, run.outcome.bit_x)),
+            f"{step}.outcome[{k}]", "alice", "public", bytes((run.outcome.bit_z, run.outcome.bit_x))
         )
     return received
 
@@ -261,20 +253,18 @@ def pq_dh(
     t_alice = aligned_start_time(source, alice, window.start_local_time_ns)
     window_retries = 0
     while True:
-        transcript.add(
-            "start-time", "alice", "bob", "public", text_payload(f"{t_alice:.3f}")
-        )
+        transcript.add("start-time", "alice", "public", text_payload(f"{t_alice:.3f}"))
         t_bob = t_alice + delay_gap_ns + sync.estimate_ns
         g_alice = bits_to_int(extract_key(source, alice, KeyWindow(t_alice, width))) % p
         g_bob = bits_to_int(extract_key(source, bob, KeyWindow(t_bob, width))) % p
-        transcript.add("generator.read", "satellite", "alice", "broadcast", b"")
-        transcript.add("generator.read", "satellite", "bob", "broadcast", b"")
+        transcript.add("generator.read", "satellite", "broadcast", b"")
+        transcript.add("generator.read", "satellite", "broadcast", b"")
         if g_alice != 0 and g_bob != 0:
             break
         window_retries += 1
         if window_retries > _MAX_WINDOW_RETRIES:
             raise ProtocolError("no usable generator window found")
-        transcript.add("window.retry", "bob", "alice", "public", b"")
+        transcript.add("window.retry", "bob", "public", b"")
         t_alice = aligned_start_time(
             source, alice, t_alice + (width + 1) * source.bit_period_ns
         )
@@ -292,18 +282,18 @@ def pq_dh(
         flip_retries += 1
         if flip_retries > _MAX_FLIP_RETRIES:
             raise ProtocolError("no usable flipped generator found")
-        transcript.add("flip.retry", "alice", "bob", "public", b"")
+        transcript.add("flip.retry", "alice", "public", b"")
 
-    transcript.add("params.p", "alice", "bob", "public", int_payload(p))
+    transcript.add("params.p", "alice", "public", int_payload(p))
     share_alice = modexp(g1_alice, a.exponent, p)
     share_bob = modexp(g1_bob, b.exponent, p)
-    transcript.add("share.alice", "alice", "bob", "public", int_payload(share_alice))
-    transcript.add("share.bob", "bob", "alice", "public", int_payload(share_bob))
+    transcript.add("share.alice", "alice", "public", int_payload(share_alice))
+    transcript.add("share.bob", "bob", "public", int_payload(share_bob))
     k_alice = modexp(share_bob, a.exponent, p)
     k_bob = modexp(share_alice, b.exponent, p)
     agreed = k_alice == k_bob
     if not agreed:
-        transcript.add("key.mismatch", "bob", "alice", "public", b"")
+        transcript.add("key.mismatch", "bob", "public", b"")
     return PqDhResult(
         key_alice=SharedKey(k_alice),
         key_bob=SharedKey(k_bob),
@@ -372,7 +362,6 @@ def private_exchange(
     transcript.add(
         "slot-schedule",
         "alice",
-        "bob",
         "public",
         text_payload(f"{base_local:.3f},{slot_period_ns:.3f},{n_slots}"),
     )
@@ -383,11 +372,11 @@ def private_exchange(
     start_bob = base_local + received_slot * slot_period_ns + delay_gap_ns + sync.estimate_ns
     key_a = extract_key(source, alice, KeyWindow(start_alice, window.length))
     key_b = extract_key(source, bob, KeyWindow(start_bob, window.length))
-    transcript.add("key.read", "satellite", "alice", "broadcast", b"")
-    transcript.add("key.read", "satellite", "bob", "broadcast", b"")
+    transcript.add("key.read", "satellite", "broadcast", b"")
+    transcript.add("key.read", "satellite", "broadcast", b"")
     agreed = bool(np.array_equal(key_a, key_b))
     if not agreed:
-        transcript.add("key.mismatch", "bob", "alice", "public", b"")
+        transcript.add("key.mismatch", "bob", "public", b"")
     return PrivateExchangeResult(
         key_alice=SharedKey(key_a),
         key_bob=SharedKey(key_b),

@@ -367,9 +367,7 @@ def walk_agreement(
     )
     delay_gap_ns = bob.propagation_delay_ns - alice.propagation_delay_ns
     t_alice = aligned_start_time(source, alice, window.start_local_time_ns)
-    transcript.add(
-        "walk-window", "alice", "bob", "public", text_payload(f"{t_alice:.3f},{depth}")
-    )
+    transcript.add("walk-window", "alice", "public", text_payload(f"{t_alice:.3f},{depth}"))
     operator_seed = int.from_bytes(rng.bytes((depth + 7) // 8), "big") & ((1 << depth) - 1)
     received_seed = teleport_secret_int(
         operator_seed, depth, rng, transcript, "operator"
@@ -377,13 +375,13 @@ def walk_agreement(
     t_bob = t_alice + delay_gap_ns + sync.estimate_ns
     bits_alice = extract_key(source, alice, KeyWindow(t_alice, depth))
     bits_bob = extract_key(source, bob, KeyWindow(t_bob, depth))
-    transcript.add("walk.read", "satellite", "alice", "broadcast", b"")
-    transcript.add("walk.read", "satellite", "bob", "broadcast", b"")
+    transcript.add("walk.read", "satellite", "broadcast", b"")
+    transcript.add("walk.read", "satellite", "broadcast", b"")
     key_alice = tree_walk_key(bits_alice, operator_seed, depth)
     key_bob = tree_walk_key(bits_bob, received_seed, depth)
     agreed = bool(np.array_equal(key_alice, key_bob))
     if not agreed:
-        transcript.add("key.mismatch", "bob", "alice", "public", b"")
+        transcript.add("key.mismatch", "bob", "public", b"")
     return WalkAgreementResult(
         key_alice=key_alice,
         key_bob=key_bob,
@@ -415,6 +413,8 @@ def keyspace_grid_attack(
     """
     if key_bits < 4 or key_bits % 2:
         raise DomainError("keyspace grid needs an even key width >= 4")
+    if key_bits >= MAX_VERTICES.bit_length():
+        raise ResourceError(f"{key_bits}-bit keys exceed the cap of {MAX_VERTICES} vertices")
     n = 1 << key_bits
     if not 0 <= true_key < n:
         raise DomainError(f"true key {true_key} outside the {key_bits}-bit space")

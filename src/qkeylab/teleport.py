@@ -7,13 +7,13 @@ the receiver-side correction: X if the entangled-half bit is 1, then Z if the
 payload-register bit is 1. The sender's payload qubit is collapsed by the
 joint measurement, so no copy survives on the sending side.
 
-`teleport_state` and `teleport_branches` start from one circuit, the Bell
-frame: it makes the pair and rotates qubits 0 and 1 so that the joint
-measurement reads them in the computational basis. `teleport_state` samples
-qubit 1, then qubit 0; `teleport_branches` reads all four outcomes off the
-frame's amplitudes. `teleport_index` runs the same circuit for every bit of
-an integer at once, as one stack of 3-qubit states through the `qstate`
-kernels, row by row with the arithmetic of `teleport_state`.
+Every run starts from one circuit, the Bell frame: it makes the pair and
+rotates qubits 0 and 1 so that the joint measurement reads them in the
+computational basis. One sampler, `_measure`, collapses qubit 1, then qubit
+0, of a stack of frames and corrects each receiver. `teleport_state` runs it
+on a stack of one; `teleport_index` on one stack holding every bit of an
+integer. `teleport_branches`, the validated oracle, reads all four outcomes
+off the frame's amplitudes without sampling.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .qstate import (
     cnot,
     fidelity,
     h,
-    measure_qubit,
     x,
     z,
 )
@@ -57,7 +56,6 @@ class BellOutcome:
 @dataclass(frozen=True)
 class TeleportTranscript:
     outcome: BellOutcome
-    corrections_applied: tuple[str, ...]
     fidelity: float
 
 
@@ -90,23 +88,33 @@ def _receiver_state(amps: np.ndarray, bit_z, bit_x) -> np.ndarray:
     return np.take_along_axis(amps, base[..., None] + np.array([0, 4]), axis=-1)
 
 
-def _correct(receiver: StateVector, bit_z: int, bit_x: int) -> StateVector:
-    """The receiver-side correction: X if bit_x is 1, then Z if bit_z is 1."""
-    return apply_gate(receiver, *(x(0),) * bit_x, *(z(0),) * bit_z)
+def _correct(receivers: np.ndarray, bit_z, bit_x) -> np.ndarray:
+    """The receiver-side correction per state along the last axis: X if bit_x, then Z if bit_z."""
+    receivers = np.where(np.asarray(bit_x)[..., None], _apply(receivers, x(0)), receivers)
+    return np.where(np.asarray(bit_z)[..., None], _apply(receivers, z(0)), receivers)
+
+
+def _measure(frames: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sample a (k, 8) stack of Bell frames: row i collapses qubit 1 on draws[i, 0], then
+    qubit 0 on draws[i, 1]. Returns bit_z, bit_x and the corrected (k, 2) receivers."""
+    bit_x, _, frames = _collapse(frames, 1, draws[:, 0])
+    bit_z, _, frames = _collapse(frames, 0, draws[:, 1])
+    receivers = _receiver_state(frames, bit_z, bit_x)
+    deviation = abs(np.linalg.norm(receivers, axis=-1) - 1.0).max()
+    if deviation > _NORM_ATOL:
+        raise InternalError(f"a receiver norm deviates from 1 by {deviation} > {_NORM_ATOL}")
+    return bit_z, bit_x, _correct(receivers, bit_z, bit_x)
 
 
 def teleport_state(
     input_state: StateVector, rng: np.random.Generator
 ) -> tuple[TeleportTranscript, StateVector]:
     """Teleport a single-qubit state; returns the run record and the replica."""
-    rec_x, state = measure_qubit(_bell_frame(input_state), 1, rng)
-    rec_z, state = measure_qubit(state, 0, rng)
-    outcome = BellOutcome(bit_z=rec_z.outcome, bit_x=rec_x.outcome)
-    bit_z, bit_x = outcome.bit_z, outcome.bit_x
-    receiver = StateVector(1, _receiver_state(state.amplitudes, bit_z, bit_x))
-    receiver = _correct(receiver, bit_z, bit_x)
-    corrections = ("X",) * bit_x + ("Z",) * bit_z
-    return TeleportTranscript(outcome, corrections, fidelity(input_state, receiver)), receiver
+    frames = _bell_frame(input_state).amplitudes[None]
+    bit_z, bit_x, receivers = _measure(frames, rng.random((1, 2)))
+    receiver = StateVector(1, receivers[0])
+    outcome = BellOutcome(int(bit_z[0]), int(bit_x[0]))
+    return TeleportTranscript(outcome, fidelity(input_state, receiver)), receiver
 
 
 def teleport_branches(input_state: StateVector) -> tuple[TeleportBranch, ...]:
@@ -123,7 +131,7 @@ def teleport_branches(input_state: StateVector) -> tuple[TeleportBranch, ...]:
             sub = _receiver_state(state.amplitudes, bit_z, bit_x)
             prob = float((np.abs(sub) ** 2).sum())
             before = StateVector(1, sub / np.sqrt(prob))
-            after = _correct(before, bit_z, bit_x)
+            after = StateVector(1, _correct(before.amplitudes, bit_z, bit_x))
             branches.append(TeleportBranch(BellOutcome(bit_z, bit_x), prob, before, after))
     return tuple(branches)
 
@@ -134,10 +142,10 @@ def teleport_index(
     """Convey the integer n exactly by teleporting bit_width basis-state qubits.
 
     Bit k of n (LSB-0) rides qubit k's run; all runs go as one (bit_width, 8)
-    stack through the circuit of `teleport_state`. The draws are
-    `rng.random((bit_width, 3))`: row k holds bit k's qubit-1 draw, its
-    qubit-0 draw and the receiver's readout draw, the order of
-    `teleport_state` followed by `measure_qubit` on the replica, bit by bit.
+    stack through `_measure`, the sampler `teleport_state` runs on a stack of
+    one. The draws are `rng.random((bit_width, 3))`: row k holds bit k's
+    qubit-1 draw, its qubit-0 draw and the receiver's readout draw, the order
+    of `teleport_state` followed by a readout of the replica, bit by bit.
     Each teleported qubit is measured on the receiving side after correction,
     so the reassembled integer equals n whenever every single-qubit run has
     unit fidelity, which it does here. bit_width is capped at
@@ -158,22 +166,13 @@ def teleport_index(
     amps[rows, bits] = 1.0
     for gate in _BELL_FRAME:
         amps = _apply(amps, gate)
-    bit_x, _, amps = _collapse(amps, 1, draws[:, 0])
-    bit_z, _, amps = _collapse(amps, 0, draws[:, 1])
-    receiver = _receiver_state(amps, bit_z, bit_x)
-    deviation = abs(np.linalg.norm(receiver, axis=-1) - 1.0).max()
-    if deviation > _NORM_ATOL:
-        raise InternalError(f"a receiver norm deviates from 1 by {deviation} > {_NORM_ATOL}")
-    receiver = np.where(bit_x[:, None], _apply(receiver, x(0)), receiver)
-    receiver = np.where(bit_z[:, None], _apply(receiver, z(0)), receiver)
+    bit_z, bit_x, receiver = _measure(amps, draws)
     received, _, _ = _collapse(receiver, 0, draws[:, 2])
     value = int.from_bytes(np.packbits(received, bitorder="little").tobytes(), "little")
     # |<bit|receiver>|^2 per run in the scalar arithmetic of `fidelity`: its
     # vdot against a basis state adds only exact zeros to the kept amplitude.
     records = [
-        TeleportTranscript(
-            BellOutcome(int(bz), int(bx)), ("X",) * bx + ("Z",) * bz, float(abs(amp) ** 2)
-        )
+        TeleportTranscript(BellOutcome(int(bz), int(bx)), float(abs(amp) ** 2))
         for bz, bx, amp in zip(bit_z.tolist(), bit_x.tolist(), receiver[rows, bits])
     ]
     return value, records

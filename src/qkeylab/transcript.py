@@ -22,7 +22,6 @@ CHANNELS = ("public", "broadcast", "quantum")
 class TranscriptRecord:
     step: str
     sender: str
-    receiver: str
     channel: str
     payload: bytes
     time_ns: int
@@ -43,12 +42,8 @@ class Transcript:
     def __init__(self):
         self.records: list[TranscriptRecord] = []
 
-    def add(
-        self, step: str, sender: str, receiver: str, channel: str, payload: bytes
-    ) -> TranscriptRecord:
-        record = TranscriptRecord(step, sender, receiver, channel, payload, len(self.records))
-        self.records.append(record)
-        return record
+    def add(self, step: str, sender: str, channel: str, payload: bytes) -> None:
+        self.records.append(TranscriptRecord(step, sender, channel, payload, len(self.records)))
 
     @property
     def eve_view(self) -> tuple[TranscriptRecord, ...]:

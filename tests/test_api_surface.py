@@ -26,6 +26,7 @@ KEPT_WITHOUT_CALLER = {
     "step",  # qwalk: one validated walk step, the oracle for the walk loop
     "phase",  # qstate: the PHASE gate of the chained rung circuit, the clock-sync ladder's oracle
     "measurement_probabilities",  # qstate: one state's Born weights, that oracle's readout
+    "measure_qubit",  # qstate: the per-state teleport twin's readout, the _collapse row reference
     # Entry points of the paper's models that no scenario runs yet.
     "crack_classic_dh",  # keyexchange: the eavesdropper who breaks classical DH
     "pq_candidate_keys",  # keyexchange: the eavesdropper's candidates in pq_dh

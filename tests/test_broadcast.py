@@ -31,6 +31,11 @@ def shift_in_bits(bits):
     return value
 
 
+def shift_out_bits(value, width):
+    """int_to_bits oracle: one shift-and-mask per bit, most significant first."""
+    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+
+
 def receiver(label="alice", distance_m=0.0, offset_ns=0.0):
     return Receiver(label, distance_m, Clock(offset_ns))
 
@@ -275,6 +280,16 @@ class TestBitPlumbing:
                 np.eye(1, width, dtype=np.uint8)[0],  # only the top bit set
             ):
                 assert bits_to_int(bits) == shift_in_bits(bits)
+
+    def test_int_to_bits_matches_shift_oracle(self):
+        rng = np.random.default_rng(6)
+        for width in [*range(1, 71), 4097]:
+            top = (1 << width) - 1
+            drawn = int.from_bytes(rng.bytes(520), "big") & top
+            for value in (0, 1, top, 1 << (width - 1), drawn):
+                bits = int_to_bits(value, width)
+                assert bits.dtype == np.uint8
+                assert bits.tolist() == shift_out_bits(value, width).tolist()
 
     def test_hex_rendering(self):
         assert bits_to_hex(np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)) == "f0"

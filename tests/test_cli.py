@@ -175,15 +175,15 @@ class TestTranscriptRecords:
 
         t = Transcript()
         with pytest.raises(DomainError):
-            t.add("step", "a", "b", "sidechannel", b"")
+            t.add("step", "a", "sidechannel", b"")
 
     def test_clock_monotone(self):
         from qkeylab.transcript import Transcript
 
         t = Transcript()
-        t.add("one", "a", "b", "public", b"")
-        t.add("two", "a", "b", "public", b"")
-        t.add("three", "a", "b", "public", b"")
+        t.add("one", "a", "public", b"")
+        t.add("two", "a", "public", b"")
+        t.add("three", "a", "public", b"")
         assert [r.time_ns for r in t.records] == [0, 1, 2]
 
 

@@ -1,6 +1,7 @@
 """Size caps on primes and moduli, stream reads, storage spans, sync ladders, teleported
-integers, slot schedules, walk graphs, searches, traces and sweeps, and the
-stream-position check on receiver geometry."""
+integers and flip indices, bit conversions, slot schedules, walk graphs and key grids,
+searches, traces and sweeps, and the stream-position checks on receiver geometry and
+stored indices."""
 import math
 
 import numpy as np
@@ -242,6 +243,51 @@ def test_storage_span_cap_fires_before_drawing():
         eve_store(source, window, 0, broadcast.MAX_STORAGE_SPAN + 1, 0.9, RefusingGenerator())
     view = eve_store(source, window, 0, 2048, 0.5, np.random.default_rng(2))
     assert view.stored_indices.size == 1024
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "prefix"])
+def test_storage_span_past_int64_indices_fires_before_drawing(strategy):
+    source = BroadcastSource(seed=7, bitrate=1e6)
+    window = KeyWindow(1e6, 8)
+    for span_start in (2**63 - 10, 2**63, 10**30):
+        with pytest.raises(DomainError, match="int64"):
+            eve_store(source, window, span_start, 64, 1.0, RefusingGenerator(), strategy)
+    view = eve_store(source, window, 2**63 - 64, 64, 1.0, np.random.default_rng(2), strategy)
+    assert view.stored_indices.tolist() == list(range(2**63 - 64, 2**63))
+
+
+@pytest.mark.parametrize("width", [broadcast.MAX_WINDOW_BITS + 1, 2**63, 10**30])
+def test_int_to_bits_width_cap(width):
+    with pytest.raises(ResourceError, match="cap"):
+        broadcast.int_to_bits(1, width)
+
+
+def test_int_to_bits_at_its_cap():
+    width = broadcast.MAX_WINDOW_BITS
+    bits = broadcast.int_to_bits(1, width)
+    assert bits.size == width and bits[-1] == 1 and bits.sum() == 1
+    assert broadcast.int_to_bits((1 << width) - 1, width).sum() == width
+
+
+@pytest.mark.parametrize("index", [teleport.MAX_TELEPORT_BITS, 2**63, 10**30])
+def test_flip_index_cap(index):
+    with pytest.raises(ResourceError, match="cap"):
+        keyexchange.flip_bit(5, index)
+
+
+def test_flip_index_below_the_cap():
+    top = teleport.MAX_TELEPORT_BITS - 1
+    assert keyexchange.flip_bit(5, top) == 5 + (1 << top)
+
+
+@pytest.mark.parametrize("key_bits", [18, 2**31, 2**63])
+def test_keyspace_grid_width_cap_fires_before_the_walk(key_bits, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep started past the cap")
+
+    monkeypatch.setattr(qwalk, "scaling_sweep", refuse)
+    with pytest.raises(ResourceError, match="cap"):
+        qwalk.keyspace_grid_attack(0, key_bits, 2.0)
 
 
 def test_window_cap():

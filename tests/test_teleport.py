@@ -2,17 +2,38 @@ import numpy as np
 import pytest
 
 from qkeylab.errors import DomainError
-from qkeylab.qstate import StateVector, fidelity, measure_qubit, new_basis_state
-from qkeylab.teleport import BellOutcome, teleport_branches, teleport_index, teleport_state
+from qkeylab.qstate import StateVector, apply_gate, fidelity, measure_qubit, new_basis_state, x, z
+from qkeylab.teleport import (
+    BellOutcome,
+    TeleportTranscript,
+    _bell_frame,
+    teleport_branches,
+    teleport_index,
+    teleport_state,
+)
+
+
+def per_state_teleport(input_state, rng):
+    """The slow, obvious twin of `teleport_state`: `measure_qubit` on qubit 1,
+    then qubit 0, of the validated Bell frame, the receiver's two amplitudes
+    sliced out of the collapsed state, and the corrections applied as gates."""
+    rec_x, state = measure_qubit(_bell_frame(input_state), 1, rng)
+    rec_z, state = measure_qubit(state, 0, rng)
+    bit_z, bit_x = rec_z.outcome, rec_x.outcome
+    base = bit_z + 2 * bit_x
+    receiver = StateVector(1, state.amplitudes[[base, base + 4]])
+    receiver = apply_gate(receiver, *(x(0),) * bit_x, *(z(0),) * bit_z)
+    outcome = BellOutcome(bit_z, bit_x)
+    return TeleportTranscript(outcome, fidelity(input_state, receiver)), receiver
 
 
 def per_qubit_teleport_index(n, bit_width, rng):
-    """The slow, obvious twin of `teleport_index`: one `teleport_state` run
+    """The slow, obvious twin of `teleport_index`: one per-state teleport run
     and one receiver readout per bit, bit 0 first."""
     value = 0
     records = []
     for k in range(bit_width):
-        record, received = teleport_state(new_basis_state(1, (n >> k) & 1), rng)
+        record, received = per_state_teleport(new_basis_state(1, (n >> k) & 1), rng)
         measured, _ = measure_qubit(received, 0, rng)
         value |= measured.outcome << k
         records.append(record)
@@ -73,15 +94,6 @@ class TestTeleportState:
             assert branch.probability == pytest.approx(0.25, abs=1e-12)
             assert fidelity(branch.receiver_after, state) >= 1 - 1e-9
 
-    def test_correction_map_fixed_per_outcome(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            record, _ = teleport_state(random_qubit(rng), rng)
-            expected = tuple(
-                name for name, bit in (("X", record.outcome.bit_x), ("Z", record.outcome.bit_z)) if bit
-            )
-            assert record.corrections_applied == expected
-
     def test_random_states_full_fidelity(self):
         rng = np.random.default_rng(8)
         worst = 1.0
@@ -101,6 +113,23 @@ class TestTeleportState:
                 amps = branch.receiver_before.amplitudes
                 rho += branch.probability * np.outer(amps, amps.conj())
             np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-9)
+
+    def test_equals_the_per_state_twin(self):
+        # Outcome, fidelity, receiver bytes and the generator's next draw.
+        pick = np.random.default_rng(31)
+        payloads = [new_basis_state(1, 0), new_basis_state(1, 1)]
+        payloads.append(StateVector(1, np.array([0.6, 0.8j])))
+        payloads += [random_qubit(pick) for _ in range(2000)]
+        seen = set()
+        for seed, payload in enumerate(payloads):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            record, receiver = teleport_state(payload, fast)
+            twin_record, twin_receiver = per_state_teleport(payload, slow)
+            assert record == twin_record
+            assert receiver.amplitudes.tobytes() == twin_receiver.amplitudes.tobytes()
+            assert fast.random() == slow.random()
+            seen.add(record.outcome)
+        assert len(seen) == 4
 
     def test_multi_qubit_input_rejected(self):
         rng = np.random.default_rng(0)
