@@ -22,7 +22,7 @@ from .errors import DomainError, ResourceError
 LIGHT_SPEED_M_PER_S = 299_792_458  # exact
 _BLOCK_BITS = 256
 STREAM_BITS = _BLOCK_BITS << 64  # block indices are hashed as 8 bytes
-MAX_WINDOW_BITS = 1 << 22  # a read holds one int64 index and one byte per bit
+MAX_WINDOW_BITS = 1 << 22  # the longest window, stream read or bit conversion: one byte per bit
 MAX_STORAGE_SPAN = 1 << 22  # drawing the stored subset holds one int64 per span index
 
 
@@ -96,6 +96,8 @@ def bits_range(source: BroadcastSource, start: int, length: int) -> np.ndarray:
     _check_index(start)
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
+    if length > MAX_WINDOW_BITS:
+        raise ResourceError(f"read length {length} exceeds the cap {MAX_WINDOW_BITS}")
     _check_index(start + length - 1)
     first = start >> 8
     last = (start + length - 1) >> 8
@@ -239,10 +241,14 @@ def eve_recover(view: StoredView, source: BroadcastSource, receiver: Receiver) -
     """
     window = view.window
     start = reception_index(source, receiver, window.start_local_time_ns)
+    last = start + window.length - 1
+    if last >= 1 << 63:
+        raise DomainError(f"window ends at stream index {last}, past the int64 range")
     # stored_indices is sorted and unique, so the window's stored bits are
     # one contiguous run of it.
     stored = view.stored_indices
-    lo, hi = np.searchsorted(stored, (start, start + window.length))
+    lo = np.searchsorted(stored, np.int64(start))
+    hi = np.searchsorted(stored, np.int64(last), side="right")
     positions = stored[lo:hi] - start
     known = int(positions.size)
     recovered = np.full(window.length, -1, dtype=np.int8)

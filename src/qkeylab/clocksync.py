@@ -107,9 +107,8 @@ def ticking_qubit_sync(
         turns = math.atan2(sin_est, cos_est) / TWO_PI  # phi / (2 pi) in [-1/2, 1/2)
         modulus = t_max_ns / (1 << k)
         residue = turns * modulus
-        if k == 0:
-            delta_est = residue
-        else:
-            wraps = round((delta_est - residue) / modulus)
-            delta_est = residue + wraps * modulus
+        # At k = 0, delta_est is 0.0 and |turns| <= 1/2, so wraps is 0 and
+        # residue (never -0.0, since sin_est never is) comes back unchanged.
+        wraps = round((delta_est - residue) / modulus)
+        delta_est = residue + wraps * modulus
     return SyncResult(delta_estimate_ns=delta_est, qubits_used=n_bits * shots_per_bit)

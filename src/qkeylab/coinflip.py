@@ -30,7 +30,7 @@ from .ecurve import (
 )
 from .errors import DomainError, ResourceError
 from .numtheory import is_probable_prime, primes_up_to
-from .transcript import Transcript, text_payload
+from .transcript import Transcript
 
 HEADS = "heads"
 TAILS = "tails"
@@ -218,27 +218,21 @@ def run_session(
         raise DomainError(f"need max_rounds >= 1, got {max_rounds}")
     session = alice_setup(B, k, rng, challenge_factor)
     transcript = Transcript()
-    transcript.add(
-        "commit",
-        "alice",
-        "public",
-        text_payload(",".join(str(v) for v in session.commitment.values.tolist())),
-    )
+    commitment = ",".join(str(v) for v in session.commitment.values.tolist())
+    transcript.add("commit", "alice", "public", commitment.encode())
     verdict = UNDECIDED
     for _ in range(max_rounds):
         p, p_prime = bob_choose_primes(session.m, rng, challenge_factor)
-        transcript.add("challenge", "bob", "public", text_payload(f"{p},{p_prime}"))
+        transcript.add("challenge", "bob", "public", f"{p},{p_prime}".encode())
         trial = run_trial(session, p, p_prime)
         shown = "-" if trial.parities is None else f"{trial.parities[0]}{trial.parities[1]}"
-        transcript.add("trial", "alice", "public", text_payload(f"{shown},{trial.verdict}"))
+        transcript.add("trial", "alice", "public", f"{shown},{trial.verdict}".encode())
         if trial.verdict in (HEADS, TAILS):
             verdict = trial.verdict
             break
-    transcript.add(
-        "reveal", "alice", "public", text_payload(f"{session.curve.a},{session.curve.b}")
-    )
+    transcript.add("reveal", "alice", "public", f"{session.curve.a},{session.curve.b}".encode())
     verified = bob_verify(session)
-    transcript.add("verify", "bob", "public", text_payload("ok" if verified.ok else "fail"))
+    transcript.add("verify", "bob", "public", b"ok" if verified.ok else b"fail")
     return SessionResult(
         verdict=verdict,
         n_trials=len(session.rounds),

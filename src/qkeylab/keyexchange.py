@@ -16,7 +16,10 @@ eavesdropper view:
 
 Both broadcast-based protocols begin with a ticking-qubit clock sync and
 start counting bits mid-bit-period, so they tolerate sync residue up to half
-a bit period. Derived keys are one-shot: reading them a second time raises.
+a bit period. The sync opens a `BroadcastRun`, which carries the link, the
+generator and the transcript; the protocols (and `qwalk.walk_agreement`)
+teleport their secret, read the stream and settle the keys through it.
+Derived keys are one-shot: reading them a second time raises.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS, ticking_q
 from .errors import DomainError, ProtocolError, ResourceError
 from .numtheory import MAX_PRIME_BITS, is_probable_prime, random_below, random_prime
 from .teleport import MAX_TELEPORT_BITS, teleport_index
-from .transcript import SharedKey, Transcript, int_payload, text_payload
+from .transcript import SharedKey, Transcript, int_payload
 
 _MAX_WINDOW_RETRIES = 16
 _MAX_FLIP_RETRIES = 80
@@ -140,53 +143,74 @@ def classic_dh(params: DhParams, a: PartySecret, b: PartySecret) -> DhResult:
 
 
 @dataclass(frozen=True)
-class SyncContext:
-    """Clock-sync outcome threaded through the broadcast protocols."""
+class BroadcastRun:
+    """One run of a broadcast protocol, opened by `run_clock_sync`.
 
+    It holds the link (the source and both receivers), the run's generator
+    and transcript, and the clock-sync outcome. The protocols teleport their
+    secret, read the stream and settle the keys through it.
+    """
+
+    source: BroadcastSource
+    alice: Receiver
+    bob: Receiver
+    rng: np.random.Generator
+    transcript: Transcript
     estimate_ns: float
     error_ns: float
 
+    def teleport(self, value: int, bit_width: int, step: str) -> int:
+        """Send an integer over the teleportation channel, logging what Eve sees.
+
+        The joint-measurement outcome bits travel on the public classical
+        channel (they are useless without the entangled half); the value
+        itself never appears in any record.
+        """
+        received, runs = teleport_index(value, bit_width, self.rng)
+        self.transcript.add(f"{step}.epr", "alice", "quantum", int_payload(bit_width))
+        for k, run in enumerate(runs):
+            bits = bytes((run.outcome.bit_z, run.outcome.bit_x))
+            self.transcript.add(f"{step}.outcome[{k}]", "alice", "public", bits)
+        return received
+
+    def read(
+        self, t_alice: float, t_nominal: float, length: int, step: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`length` stream bits each, logged as two satellite reads: Alice's
+        from local time `t_alice`, Bob's from `t_nominal` shifted by the
+        delay gap and the sync estimate."""
+        delay_gap_ns = self.bob.propagation_delay_ns - self.alice.propagation_delay_ns
+        t_bob = t_nominal + delay_gap_ns + self.estimate_ns
+        bits_alice = extract_key(self.source, self.alice, KeyWindow(t_alice, length))
+        bits_bob = extract_key(self.source, self.bob, KeyWindow(t_bob, length))
+        self.transcript.add(f"{step}.read", "satellite", "broadcast", b"")
+        self.transcript.add(f"{step}.read", "satellite", "broadcast", b"")
+        return bits_alice, bits_bob
+
+    def settle(self, agreed: bool) -> bool:
+        """Log a mismatch publicly when the keys differ; returns `agreed`."""
+        if not agreed:
+            self.transcript.add("key.mismatch", "bob", "public", b"")
+        return agreed
+
 
 def run_clock_sync(
+    source: BroadcastSource,
     alice: Receiver,
     bob: Receiver,
     rng: np.random.Generator,
-    transcript: Transcript,
     n_bits: int,
     t_max_ns: float,
     shots_per_bit: int,
-) -> SyncContext:
+) -> BroadcastRun:
+    """Open a run: a fresh transcript that starts with the ticking-qubit sync."""
+    transcript = Transcript()
     true_delta = bob.clock.offset_ns - alice.clock.offset_ns
     result = ticking_qubit_sync(true_delta, n_bits, t_max_ns, shots_per_bit, rng)
     transcript.add("sync.qubits", "alice", "quantum", int_payload(result.qubits_used))
-    transcript.add(
-        "sync.estimate", "bob", "public", text_payload(f"{result.delta_estimate_ns:.3f}")
-    )
-    return SyncContext(
-        estimate_ns=result.delta_estimate_ns, error_ns=result.delta_estimate_ns - true_delta
-    )
-
-
-def teleport_secret_int(
-    value: int,
-    bit_width: int,
-    rng: np.random.Generator,
-    transcript: Transcript,
-    step: str,
-) -> int:
-    """Send an integer over the teleportation channel, logging what Eve sees.
-
-    The joint-measurement outcome bits travel on the public classical channel
-    (they are useless without the entangled half); the value itself never
-    appears in any record.
-    """
-    received, runs = teleport_index(value, bit_width, rng)
-    transcript.add(f"{step}.epr", "alice", "quantum", int_payload(bit_width))
-    for k, run in enumerate(runs):
-        transcript.add(
-            f"{step}.outcome[{k}]", "alice", "public", bytes((run.outcome.bit_z, run.outcome.bit_x))
-        )
-    return received
+    estimate = result.delta_estimate_ns
+    transcript.add("sync.estimate", "bob", "public", f"{estimate:.3f}".encode())
+    return BroadcastRun(source, alice, bob, rng, transcript, estimate, estimate - true_delta)
 
 
 @dataclass(frozen=True)
@@ -244,21 +268,16 @@ def pq_dh(
         raise ResourceError(
             f"window length {width} exceeds the teleport cap {MAX_TELEPORT_BITS}"
         )
-    transcript = Transcript()
-    sync = run_clock_sync(
-        alice, bob, rng, transcript, sync_n_bits, sync_t_max_ns, sync_shots_per_bit
-    )
-    delay_gap_ns = bob.propagation_delay_ns - alice.propagation_delay_ns
+    run = run_clock_sync(source, alice, bob, rng, sync_n_bits, sync_t_max_ns, sync_shots_per_bit)
+    transcript = run.transcript
 
     t_alice = aligned_start_time(source, alice, window.start_local_time_ns)
     window_retries = 0
     while True:
-        transcript.add("start-time", "alice", "public", text_payload(f"{t_alice:.3f}"))
-        t_bob = t_alice + delay_gap_ns + sync.estimate_ns
-        g_alice = bits_to_int(extract_key(source, alice, KeyWindow(t_alice, width))) % p
-        g_bob = bits_to_int(extract_key(source, bob, KeyWindow(t_bob, width))) % p
-        transcript.add("generator.read", "satellite", "broadcast", b"")
-        transcript.add("generator.read", "satellite", "broadcast", b"")
+        transcript.add("start-time", "alice", "public", f"{t_alice:.3f}".encode())
+        bits_alice, bits_bob = run.read(t_alice, t_alice, width, "generator")
+        g_alice = bits_to_int(bits_alice) % p
+        g_bob = bits_to_int(bits_bob) % p
         if g_alice != 0 and g_bob != 0:
             break
         window_retries += 1
@@ -272,9 +291,7 @@ def pq_dh(
     flip_retries = 0
     while True:
         flip_index = int(rng.integers(width))
-        received_index = teleport_secret_int(
-            flip_index, width, rng, transcript, "flip-index"
-        )
+        received_index = run.teleport(flip_index, width, "flip-index")
         g1_alice = flip_bit(g_alice, flip_index)
         g1_bob = flip_bit(g_bob, received_index)
         if g1_alice % p != 0 and g1_bob % p != 0:
@@ -291,13 +308,10 @@ def pq_dh(
     transcript.add("share.bob", "bob", "public", int_payload(share_bob))
     k_alice = modexp(share_bob, a.exponent, p)
     k_bob = modexp(share_alice, b.exponent, p)
-    agreed = k_alice == k_bob
-    if not agreed:
-        transcript.add("key.mismatch", "bob", "public", b"")
     return PqDhResult(
         key_alice=SharedKey(k_alice),
         key_bob=SharedKey(k_bob),
-        agreed=agreed,
+        agreed=run.settle(k_alice == k_bob),
         transcript=transcript,
         p=p,
         generator_alice=g_alice,
@@ -307,7 +321,7 @@ def pq_dh(
         flip_index=flip_index,
         share_alice=share_alice,
         share_bob=share_bob,
-        sync_error_ns=sync.error_ns,
+        sync_error_ns=run.error_ns,
         window_retries=window_retries,
         flip_retries=flip_retries,
         start_index_alice=reception_index(source, alice, t_alice),
@@ -350,40 +364,27 @@ def private_exchange(
         raise DomainError(f"need slot_bits >= 1, got {slot_bits}")
     if slot_bits > MAX_SLOT_BITS:
         raise ResourceError(f"slot_bits {slot_bits} exceeds the cap {MAX_SLOT_BITS}")
-    transcript = Transcript()
-    sync = run_clock_sync(
-        alice, bob, rng, transcript, sync_n_bits, sync_t_max_ns, sync_shots_per_bit
-    )
-    delay_gap_ns = bob.propagation_delay_ns - alice.propagation_delay_ns
+    run = run_clock_sync(source, alice, bob, rng, sync_n_bits, sync_t_max_ns, sync_shots_per_bit)
 
     base_local = aligned_start_time(source, alice, window.start_local_time_ns)
     slot_period_ns = (window.length + 1) * source.bit_period_ns
     n_slots = 1 << slot_bits
-    transcript.add(
-        "slot-schedule",
-        "alice",
-        "public",
-        text_payload(f"{base_local:.3f},{slot_period_ns:.3f},{n_slots}"),
-    )
+    schedule = f"{base_local:.3f},{slot_period_ns:.3f},{n_slots}"
+    run.transcript.add("slot-schedule", "alice", "public", schedule.encode())
     slot = int(rng.integers(n_slots))
-    received_slot = teleport_secret_int(slot, slot_bits, rng, transcript, "slot-index")
+    received_slot = run.teleport(slot, slot_bits, "slot-index")
 
     start_alice = base_local + slot * slot_period_ns
-    start_bob = base_local + received_slot * slot_period_ns + delay_gap_ns + sync.estimate_ns
-    key_a = extract_key(source, alice, KeyWindow(start_alice, window.length))
-    key_b = extract_key(source, bob, KeyWindow(start_bob, window.length))
-    transcript.add("key.read", "satellite", "broadcast", b"")
-    transcript.add("key.read", "satellite", "broadcast", b"")
-    agreed = bool(np.array_equal(key_a, key_b))
-    if not agreed:
-        transcript.add("key.mismatch", "bob", "public", b"")
+    key_a, key_b = run.read(
+        start_alice, base_local + received_slot * slot_period_ns, window.length, "key"
+    )
     return PrivateExchangeResult(
         key_alice=SharedKey(key_a),
         key_bob=SharedKey(key_b),
-        agreed=agreed,
-        transcript=transcript,
+        agreed=run.settle(bool(np.array_equal(key_a, key_b))),
+        transcript=run.transcript,
         slot_index=slot,
-        sync_error_ns=sync.error_ns,
+        sync_error_ns=run.error_ns,
         start_index_alice=reception_index(source, alice, start_alice),
     )
 

@@ -31,13 +31,12 @@ from .broadcast import (
     KeyWindow,
     Receiver,
     aligned_start_time,
-    extract_key,
     int_to_bits,
 )
 from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS
 from .errors import DomainError, ResourceError
-from .keyexchange import run_clock_sync, teleport_secret_int
-from .transcript import Transcript, text_payload
+from .keyexchange import run_clock_sync
+from .transcript import Transcript
 
 # The largest graph a builder makes: the eve-qwalk key space at depth 16.
 # Walk time grows as N^1.5 (eve-qwalk --depth 16: 6.6-7.0 s on a 2-core VM).
@@ -361,34 +360,21 @@ def walk_agreement(
     clock sync runs the default ladder of the broadcast protocols (`SYNC_*`).
     """
     depth = window.length
-    transcript = Transcript()
-    sync = run_clock_sync(
-        alice, bob, rng, transcript, SYNC_N_BITS, SYNC_T_MAX_NS, SYNC_SHOTS_PER_BIT
-    )
-    delay_gap_ns = bob.propagation_delay_ns - alice.propagation_delay_ns
+    run = run_clock_sync(source, alice, bob, rng, SYNC_N_BITS, SYNC_T_MAX_NS, SYNC_SHOTS_PER_BIT)
     t_alice = aligned_start_time(source, alice, window.start_local_time_ns)
-    transcript.add("walk-window", "alice", "public", text_payload(f"{t_alice:.3f},{depth}"))
+    run.transcript.add("walk-window", "alice", "public", f"{t_alice:.3f},{depth}".encode())
     operator_seed = int.from_bytes(rng.bytes((depth + 7) // 8), "big") & ((1 << depth) - 1)
-    received_seed = teleport_secret_int(
-        operator_seed, depth, rng, transcript, "operator"
-    )
-    t_bob = t_alice + delay_gap_ns + sync.estimate_ns
-    bits_alice = extract_key(source, alice, KeyWindow(t_alice, depth))
-    bits_bob = extract_key(source, bob, KeyWindow(t_bob, depth))
-    transcript.add("walk.read", "satellite", "broadcast", b"")
-    transcript.add("walk.read", "satellite", "broadcast", b"")
+    received_seed = run.teleport(operator_seed, depth, "operator")
+    bits_alice, bits_bob = run.read(t_alice, t_alice, depth, "walk")
     key_alice = tree_walk_key(bits_alice, operator_seed, depth)
     key_bob = tree_walk_key(bits_bob, received_seed, depth)
-    agreed = bool(np.array_equal(key_alice, key_bob))
-    if not agreed:
-        transcript.add("key.mismatch", "bob", "public", b"")
     return WalkAgreementResult(
         key_alice=key_alice,
         key_bob=key_bob,
-        agreed=agreed,
-        transcript=transcript,
+        agreed=run.settle(bool(np.array_equal(key_alice, key_bob))),
+        transcript=run.transcript,
         operator_seed=operator_seed,
-        sync_error_ns=sync.error_ns,
+        sync_error_ns=run.error_ns,
     )
 
 

@@ -60,10 +60,6 @@ def int_payload(value: int) -> bytes:
     return value.to_bytes(length, "big")
 
 
-def text_payload(text: str) -> bytes:
-    return text.encode()
-
-
 class SharedKey:
     """Key material that may be revealed exactly once, then vanishes.
 

@@ -13,6 +13,7 @@ from qkeylab.broadcast import (
     KeyWindow,
     Receiver,
     aligned_start_time,
+    eve_recover,
     eve_store,
     reception_index,
 )
@@ -254,6 +255,48 @@ def test_storage_span_past_int64_indices_fires_before_drawing(strategy):
             eve_store(source, window, span_start, 64, 1.0, RefusingGenerator(), strategy)
     view = eve_store(source, window, 2**63 - 64, 64, 1.0, np.random.default_rng(2), strategy)
     assert view.stored_indices.tolist() == list(range(2**63 - 64, 2**63))
+
+
+def _refuse_hashing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream block was hashed past the check")
+
+    monkeypatch.setattr(broadcast, "_block", refuse)
+
+
+def test_recover_window_past_int64_indices_fires_before_hashing(monkeypatch):
+    source = BroadcastSource(seed=7, bitrate=1e9)
+    receiver = Receiver("r", 0.0, Clock(0.0))
+    view = eve_store(
+        source, KeyWindow(2.0**70, 8), 2**63 - 64, 64, 1.0, np.random.default_rng(2), "prefix"
+    )
+    _refuse_hashing(monkeypatch)
+    with pytest.raises(DomainError, match="int64"):
+        eve_recover(view, source, receiver)
+
+
+def test_recover_window_ending_at_the_last_int64_index():
+    source = BroadcastSource(seed=7, bitrate=1e9)
+    receiver = Receiver("r", 0.0, Clock(0.0))
+    window = KeyWindow(2**63 - 1024 + 0.5, 1024)
+    assert reception_index(source, receiver, window.start_local_time_ns) == 2**63 - 1024
+    view = eve_store(source, window, 2**63 - 4096, 4096, 1.0, np.random.default_rng(2), "prefix")
+    recovery = eve_recover(view, source, receiver)
+    assert recovery.known_bits == 1024
+    assert recovery.guess_success_probability == 1.0
+    assert recovery.recovered.min() >= 0
+
+
+@pytest.mark.parametrize("length", [broadcast.MAX_WINDOW_BITS + 1, 2**31, 2**63])
+def test_stream_read_cap_fires_before_hashing(length, monkeypatch):
+    _refuse_hashing(monkeypatch)
+    with pytest.raises(ResourceError, match="cap"):
+        broadcast.bits_range(BroadcastSource(seed=7, bitrate=1e9), 0, length)
+
+
+def test_stream_read_at_its_cap():
+    bits = broadcast.bits_range(BroadcastSource(seed=7, bitrate=1e9), 5, broadcast.MAX_WINDOW_BITS)
+    assert bits.size == broadcast.MAX_WINDOW_BITS
 
 
 @pytest.mark.parametrize("width", [broadcast.MAX_WINDOW_BITS + 1, 2**63, 10**30])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -432,6 +433,29 @@ class TestWalkAgreement:
                 break
         else:
             pytest.fail("expected a mismatched run at 1 ns bit period")
+
+    def test_runs_are_pinned_byte_for_byte(self):
+        # No golden covers this protocol: one digest over 80 runs pins every
+        # transcript, key and diagnostic. At 1 ns bit period 37 of them mismatch.
+        digest = hashlib.sha256()
+        mismatched = 0
+        for bitrate in (1e6, 1e9):
+            source, alice, bob = self.make_link(bitrate)
+            for seed in range(40):
+                result = walk_agreement(
+                    alice, bob, source, KeyWindow(2e9, 24), np.random.default_rng(seed)
+                )
+                mismatched += not result.agreed
+                digest.update(result.transcript.render().encode())
+                digest.update(result.key_alice.tobytes())
+                digest.update(result.key_bob.tobytes())
+                digest.update(
+                    f"{result.operator_seed} {result.sync_error_ns!r} {result.agreed}".encode()
+                )
+        assert mismatched == 37
+        assert digest.hexdigest() == (
+            "e085a62306fa5b8831e8685266762c7a9bde7c4760f8b47ac72d464b7c89eae9"
+        )
 
 
 class TestKeyspaceAttack:
