@@ -5,12 +5,15 @@ trials need only a_p mod 2, which costs O(log p) per prime: p + 1 is even, so
 a_p is even exactly when #E(F_p) is, that is, when E has a point of order 2
 over F_p, a point (r, 0) with r a root of x^3 + ax + b mod p. `_trace_is_even`
 decides that from x^p mod (f, p) and the quadratic character of the cubic's
-discriminant, for one prime (an int) or an array of primes at once. The exact
-count #E(F_p), an O(p) quadratic-residue table scan capped at
-`MAX_TABLE_PRIME`, only gives the values a_p = p + 1 - #E(F_p) of the
-coefficient sequence a(1..m). The remaining pieces are the splitting-degree
-classification of the cubic over the rationals, parity-density scans, and a
-deterministic parity-stream generator whose zero frequency tends to 2/3.
+discriminant, for one prime (an int) or an array of primes at once. Exact
+counts #E(F_p) only give the values a_p = p + 1 - #E(F_p) of the coefficient
+sequence a(1..m): `_affine_counts` takes them for every good odd prime <= m
+at once, in blocks of consecutive primes that share one quadratic-residue
+table pass. `_count_points_table`, the same O(p) scan for one prime (capped
+at `MAX_TABLE_PRIME`), is `count_points` and the per-prime oracle. The
+remaining pieces are the splitting-degree classification of the cubic over
+the rationals, parity-density scans, and a deterministic parity-stream
+generator whose zero frequency tends to 2/3.
 
 Discriminant sign convention: `Curve.discriminant` is 4a^3 + 27b^2 (used for
 good/bad prime tests and the commitment interval in the coin-flip protocol);
@@ -33,6 +36,7 @@ MAX_SCAN = 10**6  # largest prime bound of a parity scan and length of a parity 
 MAX_TABLE_PRIME = 1 << 22  # largest p of the O(p) point-count tables and the coin-flip challenge sieve
 MAX_ZETA_LENGTH = 1 << 16  # a(1..m) costs ~m^2 / log m; m = 6^7 took minutes
 _ZETA_MEMO = 64  # coefficient sequences kept by `zeta_coefficients`
+_COUNT_BLOCK = 1 << 13  # (p, x) pairs per block of `_affine_counts`: 64 kB per int64 array
 _SELECT_BOUND = 16  # select_curve draws a and b from [-16, 16]
 _SELECT_BUDGET = 10_000  # draws select_curve makes before it gives up
 
@@ -181,6 +185,11 @@ def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
     a(p^k) = a(p) a(p^(k-1)) - p a(p^(k-2)) at good primes (a(p)^k at bad
     ones), multiplicativity everywhere else.
 
+    Every a(p) comes from one blocked residue-table pass over all primes
+    <= m (`_affine_counts`), the reduction type at bad primes, and 0 at a
+    good 2. Primes above sqrt(m) divide each n <= m at most once, so one
+    array product per cofactor places them.
+
     m is capped at `MAX_ZETA_LENGTH` = 2^16. Each sequence is computed once
     per process and shared: `values` is a read-only array (copy it to change
     it). The memo keeps the last `_ZETA_MEMO` = 64 sequences, at most
@@ -193,22 +202,74 @@ def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
     return ZetaCoeffs(m, _zeta_values(curve.a, curve.b, m))
 
 
+def _affine_counts(curve: Curve, primes: np.ndarray) -> np.ndarray:
+    """#E(F_p) - 1, the affine points, at each good odd prime of the int64
+    array `primes` (each p <= MAX_ZETA_LENGTH): `_count_points_table` for a
+    run of primes at once.
+
+    Runs of consecutive primes whose sum is at most `_COUNT_BLOCK` share one
+    table of (p, x) pairs, x = 0..p-1 for each p in turn from offset `start`,
+    so no int64 array exceeds 64 kB; a larger prime is a block of its own.
+    In the same layout, points[start + v] is the number of y with y^2 = v
+    mod p: 2 at the nonzero squares x^2, 1 at 0. Each prime's count is the
+    sum of points[start + f(x)]; (x^2 + a) x + b is below 2p^2 before its one
+    reduction, so int64 is exact.
+    """
+    a, b = _residues(curve.a, primes), _residues(curve.b, primes)
+    ends = np.cumsum(primes)
+    starts = ends - primes
+    counts = np.empty(len(primes), dtype=np.int64)
+    lo = 0
+    while lo < len(primes):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _COUNT_BLOCK, side="right")))
+        p = primes[lo:hi]
+        offsets = starts[lo:hi] - starts[lo]
+        start, pp = np.repeat(offsets, p), np.repeat(p, p)
+        x = np.arange(len(pp), dtype=np.int64)
+        x -= start
+        t = x * x
+        t %= pp
+        points = np.zeros(len(pp), dtype=np.int8)
+        points[start + t] = 2
+        points[offsets] = 1
+        t += np.repeat(a[lo:hi], p)
+        t *= x
+        t += np.repeat(b[lo:hi], p)
+        t %= pp
+        t += start
+        counts[lo:hi] = np.add.reduceat(points[t], offsets, dtype=np.int64)
+        lo = hi
+    return counts
+
+
 @functools.lru_cache(maxsize=_ZETA_MEMO)
 def _zeta_values(a: int, b: int, m: int) -> np.ndarray:
     curve = Curve(a, b)
+    primes = primes_up_to(m)
+    bad = _residues(curve.discriminant, primes) == 0
+    ap = np.zeros(len(primes), dtype=np.int64)  # a good 2 keeps 0: 3 points over F_2
+    counted = ~bad & (primes > 2)
+    ap[counted] = primes[counted] - _affine_counts(curve, primes[counted])
+    for i in np.flatnonzero(bad).tolist():
+        ap[i] = _bad_prime_coefficient(curve, int(primes[i]))
     values = np.ones(m + 1, dtype=np.int64)
-    for p in primes_up_to(m).tolist():
-        ap = _prime_coefficient_sieved(curve, p)
-        good = curve.discriminant % p != 0
+    root = math.isqrt(m)
+    n_small = int(np.searchsorted(primes, root, side="right"))
+    for p, a_p, good in zip(primes[:n_small].tolist(), ap[:n_small].tolist(), (~bad[:n_small]).tolist()):
         # part[j - 1] ends as a(p^k) for the power p^k that exactly divides j * p.
-        part = np.full(m // p, ap, dtype=np.int64)
-        q, prev, prev2 = p, ap, 1
+        part = np.full(m // p, a_p, dtype=np.int64)
+        q, prev, prev2 = p, a_p, 1
         while q * p <= m:
-            nxt = ap * prev - p * prev2 if good else ap * prev
+            nxt = a_p * prev - p * prev2 if good else a_p * prev
             part[q - 1 :: q] = nxt
             q *= p
             prev2, prev = prev, nxt
         values[p::p] *= part
+    # A prime p > sqrt(m) divides n <= m at most once, with cofactor k <= m / p.
+    large, a_large = primes[n_small:], ap[n_small:]
+    for k in range(1, m // (root + 1) + 1):
+        n = int(np.searchsorted(large, m // k, side="right"))
+        values[k * large[:n]] *= a_large[:n]
     values.flags.writeable = False
     return values[1:]
 
@@ -254,27 +315,23 @@ def _trace_is_even(curve: Curve, primes):
     p = primes
     a, b = _residues(curve.a, p), _residues(curve.b, p)
     disc = _residues(-curve.discriminant, p)
-
-    def mul(u, v):
-        return u * v % p
-
     nb, disc1 = -b % p, disc - 1
     c0, c1, c2 = p * 0 + 1, p * 0, p * 0
     legendre, bit = c0, c1
     for i in range(int(np.asarray(p).max(initial=0)).bit_length() - 1, -1, -1):
         # disc^((p-1)/2): bit i of (p-1)/2 is bit i+1 of p, the previous `bit`.
-        legendre = mul(mul(legendre, legendre), 1 + bit * disc1)
+        legendre = legendre * legendre % p * (1 + bit * disc1) % p
         # Square, then fold x^4 = -ax^2 - bx and x^3 = -ax - b back in.
-        d3 = 2 * mul(c1, c2) % p
-        d4 = mul(c2, c2)
-        new2 = (2 * mul(c0, c2) + mul(c1, c1) - mul(a, d4)) % p
-        new1 = (2 * mul(c0, c1) - mul(b, d4) - mul(a, d3)) % p
-        c0, c1, c2 = (mul(c0, c0) - mul(b, d3)) % p, new1, new2
+        d3 = 2 * (c1 * c2 % p) % p
+        d4 = c2 * c2 % p
+        new2 = (2 * (c0 * c2 % p) + c1 * c1 % p - a * d4 % p) % p
+        new1 = (2 * (c0 * c1 % p) - b * d4 % p - a * d3 % p) % p
+        c0, c1, c2 = (c0 * c0 % p - b * d3 % p) % p, new1, new2
         # Multiply by x where bit i of p is set: x^3 again folds to -ax - b.
         bit = (p >> i) & 1
         c0, c1, c2 = (
-            c0 + bit * (mul(nb, c2) - c0),
-            c1 + bit * ((c0 - mul(a, c2)) % p - c1),
+            c0 + bit * (nb * c2 % p - c0),
+            c1 + bit * ((c0 - a * c2 % p) % p - c1),
             c2 + bit * (c1 - c2),
         )
     three_roots = (c0 == 0) & (c1 == 1) & (c2 == 0)

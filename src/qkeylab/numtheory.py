@@ -1,29 +1,39 @@
 """Small number-theory helpers: primality, prime sieves, random primes."""
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Miller-Rabin witnesses: the primes up to 41 leave no strong pseudoprime below
-# psi_13 (Sorenson-Webster 2015); stopping at 37 accepts psi_12 ~ 3.19e23
-# itself. From psi_13 on, chosen composites pass all 13 bases (Arnault 1995),
-# so a strong Lucas test follows them there.
+# Miller-Rabin witnesses: the first k prime bases leave no strong pseudoprime
+# below psi_k (OEIS A014233; psi_12 and psi_13 from Sorenson-Webster 2015), so
+# n < psi_k needs only those k; stopping at 37 accepts psi_12 ~ 3.19e23 itself.
+# From psi_13 on, chosen composites pass all 13 bases (Arnault 1995), so a
+# strong Lucas test follows them there.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+# psi_1..psi_13 (psi_7 = psi_8 and psi_9 = psi_10 = psi_11).
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # A b-bit search tests about b*ln(2)/2 candidates at O(b^3) each: about 1 s at 1024.
 MAX_PRIME_BITS = 1024
+# The largest sieve bound: a 32 MB mask. parity_prng at MAX_SCAN bits sieves to
+# about 2.2e7, the coin-flip challenge sieve to MAX_TABLE_PRIME = 2^22.
+MAX_SIEVE = 1 << 25
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin over the prime bases 2..41, deterministic below
-    psi_13 ~ 3.3e24; from psi_13 on, also a strong Lucas test (Baillie-PSW,
-    which has no known counterexample)."""
+    """Miller-Rabin over the first k prime bases for n < psi_k, deterministic
+    below psi_13 ~ 3.3e24; from psi_13 on, all 13 bases 2..41 and a strong
+    Lucas test (Baillie-PSW, which has no known counterexample)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -33,7 +43,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect.bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -43,7 +53,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _PSI_13 or _is_strong_lucas_probable_prime(n)
+    return n < _PSI[-1] or _is_strong_lucas_probable_prime(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -127,11 +137,14 @@ _sieve_cache: dict = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
 
 
 def primes_up_to(bound: int) -> np.ndarray:
-    """All primes <= bound as an int64 array (sieve, cached and grown)."""
+    """All primes <= bound as an int64 array (sieve, cached and grown;
+    bound <= MAX_SIEVE)."""
+    if bound > MAX_SIEVE:
+        raise ResourceError(f"sieve bound {bound} exceeds the cap {MAX_SIEVE}")
     if bound < 2:
         return np.empty(0, dtype=np.int64)
     if _sieve_cache["limit"] < bound:
-        limit = max(bound, 2 * _sieve_cache["limit"], 1 << 10)
+        limit = min(max(bound, 2 * _sieve_cache["limit"], 1 << 10), MAX_SIEVE)
         mask = np.ones(limit + 1, dtype=bool)
         mask[:2] = False
         for p in range(2, int(limit**0.5) + 1):

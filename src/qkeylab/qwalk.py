@@ -67,6 +67,8 @@ class Graph:
 
     def __init__(self, n_vertices: int, arc_tail, arc_head, marked=()):
         n = int(n_vertices)
+        if n > MAX_VERTICES:
+            raise ResourceError(f"{n} vertices exceed the cap {MAX_VERTICES}")
         tail = np.asarray(arc_tail, dtype=np.int64)
         head = np.asarray(arc_head, dtype=np.int64)
         outside = np.flatnonzero((tail < 0) | (tail >= n) | (head < 0) | (head >= n))

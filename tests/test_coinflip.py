@@ -136,14 +136,14 @@ class TestTrials:
         assert all(type(parity) is int for parity in trial.parities)
 
     def test_trials_and_verification_build_no_point_count_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a per-prime point-count table was built")
+
+        monkeypatch.setattr(ecurve, "_count_points_table", refuse)
+        _zeta_values.cache_clear()  # setup computes its commitment afresh
         rng = np.random.default_rng(8)
         session = alice_setup(4096, 3, rng)
         hits = _zeta_values.cache_info().hits
-
-        def refuse(*args):
-            raise AssertionError("a point-count table was built after setup")
-
-        monkeypatch.setattr(ecurve, "_count_points_table", refuse)
         for _ in range(12):
             run_trial(session, *bob_choose_primes(session.m, rng))
         assert bob_verify(session).ok

@@ -285,6 +285,62 @@ class TestZetaCoefficients:
             zeta_coefficients(Curve(1, 1), MAX_ZETA_LENGTH + 1)
 
 
+# Seeded small curves, coefficients past 2^64 (so `_residues` reduces them
+# limb by limb), Curve(5, 25) with disc = 5^3 * 139, and Curve(-1, 1) with
+# disc = 23: bad primes on both sides of sqrt(m).
+BLOCK_CURVES = sample_curves(4) + [
+    Curve(2**70 + 3, -(3**45)),
+    Curve(-(10**30) + 7, 10**21 + 9),
+    Curve(5, 25),
+    Curve(-1, 1),
+]
+
+
+def per_prime_zeta(curve, m):
+    """a(1..m) one prime at a time from `_prime_coefficient_sieved`, with the
+    prime-power recursion at every prime."""
+    values = np.ones(m + 1, dtype=np.int64)
+    for p in primes_up_to(m).tolist():
+        ap = _prime_coefficient_sieved(curve, p)
+        good = curve.discriminant % p != 0
+        part = np.full(m // p, ap, dtype=np.int64)
+        q, prev, prev2 = p, ap, 1
+        while q * p <= m:
+            nxt = ap * prev - p * prev2 if good else ap * prev
+            part[q - 1 :: q] = nxt
+            q *= p
+            prev2, prev = prev, nxt
+        values[p::p] *= part
+    return values[1:]
+
+
+class TestBlockedCounts:
+    @pytest.mark.parametrize("block", [1, 7, ecurve._COUNT_BLOCK])
+    def test_affine_counts_equal_the_table_at_every_good_odd_prime(self, monkeypatch, block):
+        monkeypatch.setattr(ecurve, "_COUNT_BLOCK", block)
+        primes = primes_up_to(3000)[1:]
+        for curve in BLOCK_CURVES:
+            good = np.array([p for p in primes.tolist() if curve.discriminant % p], dtype=np.int64)
+            counts = ecurve._affine_counts(curve, good) + 1
+            expected = [ecurve._count_points_table(curve, p) for p in good.tolist()]
+            assert counts.tolist() == expected, curve
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 120, 121, 168, 169, 512, 1728])
+    def test_sequence_equals_the_per_prime_loop(self, m):
+        for curve in BLOCK_CURVES:
+            values = _zeta_values.__wrapped__(curve.a, curve.b, m)
+            assert np.array_equal(values, per_prime_zeta(curve, m)), (curve, m)
+
+    def test_sequence_builds_no_per_prime_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a per-prime coefficient was computed")
+
+        monkeypatch.setattr(ecurve, "_count_points_table", refuse)
+        monkeypatch.setattr(ecurve, "_prime_coefficient_sieved", refuse)
+        values = _zeta_values.__wrapped__(5, 25, 1728)
+        assert values[138] == ecurve._bad_prime_coefficient(Curve(5, 25), 139)
+
+
 class TestDensityScan:
     def test_degree6_curve_near_two_thirds(self):
         report = parity_density_scan(Curve(0, -2), 10_000)
@@ -353,7 +409,60 @@ class TestParityPrng:
             parity_prng(-1, 16)
 
 
+def thirteen_base_miller_rabin(n):
+    """Miller-Rabin over all 13 prime bases 2..41 at every n, without tiers:
+    the twin of `is_probable_prime` below psi_13."""
+    if n < 2:
+        return False
+    for p in numtheory._SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in numtheory._MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class TestPrimality:
+    def test_each_tier_bound_rejected(self):
+        # psi_k passes the first k bases; one more base (or, for psi_7,
+        # psi_9 and psi_10, the next distinct psi) exposes it.
+        assert len(numtheory._PSI) == len(numtheory._MR_WITNESSES) == 13
+        for psi in numtheory._PSI[:12]:
+            assert not is_probable_prime(psi)
+
+    def test_tiers_agree_with_all_thirteen_bases_below_1e5(self):
+        for n in range(1, 10**5, 2):
+            assert is_probable_prime(n) == thirteen_base_miller_rabin(n), n
+
+    @pytest.mark.parametrize("bits", [20, 32, 48, 64])
+    def test_tiers_agree_with_all_thirteen_bases_on_seeded_samples(self, bits):
+        rng = np.random.default_rng(bits)
+        odd = [int.from_bytes(rng.bytes(8), "big") % (1 << bits) | (1 << (bits - 1)) | 1 for _ in range(500)]
+        primes = [numtheory.random_prime(bits, rng) for _ in range(50)]
+        for n in odd + primes:
+            assert is_probable_prime(n) == thirteen_base_miller_rabin(n), n
+        assert all(thirteen_base_miller_rabin(p) for p in primes)
+
+    def test_tiers_agree_with_all_thirteen_bases_around_each_bound(self):
+        # Every odd n within 400 of each psi_k, which includes the primes next to it.
+        for psi in numtheory._PSI[:12]:
+            window = range(psi - 400, psi + 401, 2)
+            assert sum(map(thirteen_base_miller_rabin, window)) >= 2, psi
+            for n in window:
+                assert is_probable_prime(n) == thirteen_base_miller_rabin(n), n
+
     def test_against_sieve(self):
         sieve = set(primes_up_to(2000).tolist())
         for n in range(2, 2000):

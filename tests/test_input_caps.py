@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qkeylab import broadcast, clocksync, keyexchange, numtheory, qwalk, teleport
+from qkeylab import broadcast, clocksync, ecurve, keyexchange, numtheory, qwalk, teleport
 from qkeylab.broadcast import (
     BroadcastSource,
     KeyWindow,
@@ -198,6 +198,43 @@ def test_walk_caps_fire_before_allocating(monkeypatch):
     monkeypatch.setattr(qwalk, "walk_distribution", refuse)
     with pytest.raises(ResourceError, match="cap"):
         qwalk.search(graph, 4, RefusingGenerator(), qwalk.MAX_SEARCH_TRIALS + 1)
+
+
+@pytest.mark.parametrize("n", [2**31, 2**63])
+def test_graph_vertex_cap_fires_before_allocating(n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started past the cap")
+
+    monkeypatch.setattr(qwalk.np, "bincount", refuse)
+    with pytest.raises(ResourceError, match="cap"):
+        qwalk.Graph(n, [0, 1], [1, 0])
+
+
+@pytest.mark.parametrize("bound", [numtheory.MAX_SIEVE + 1, 2**63])
+def test_sieve_cap_fires_before_allocating(bound, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sieve was allocated past the cap")
+
+    monkeypatch.setattr(numtheory.np, "ones", refuse)
+    with pytest.raises(ResourceError, match="cap"):
+        numtheory.primes_up_to(bound)
+
+
+def test_sieve_cap_admits_the_largest_library_sieves():
+    # parity_prng's first stretch at MAX_SCAN bits, and the challenge sieve.
+    first_stretch = int(1.3 * ecurve.MAX_SCAN * (math.log(ecurve.MAX_SCAN + 2) + 3))
+    assert first_stretch <= numtheory.MAX_SIEVE
+    assert ecurve.MAX_TABLE_PRIME <= numtheory.MAX_SIEVE
+
+
+def test_sieve_growth_stops_at_the_cap(monkeypatch):
+    monkeypatch.setattr(numtheory, "MAX_SIEVE", 5000)
+    monkeypatch.setattr(numtheory, "_sieve_cache", {"limit": 0, "primes": np.empty(0, dtype=np.int64)})
+    assert numtheory.primes_up_to(3000)[-1] == 2999
+    assert numtheory._sieve_cache["limit"] == 3000
+    assert numtheory.primes_up_to(4000)[-1] == 3989  # doubling would sieve to 6000
+    assert numtheory._sieve_cache["limit"] == 5000
+    assert numtheory.primes_up_to(5000)[-1] == 4999
 
 
 def test_sweep_size_count_cap_fires_before_any_walk(monkeypatch):
