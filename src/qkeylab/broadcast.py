@@ -83,14 +83,6 @@ def _check_index(index: int) -> None:
         raise DomainError(f"stream index must be in [0, 2^72), got {index}")
 
 
-def bit_at(source: BroadcastSource, index: int) -> int:
-    """Stream bit at `index` (deterministic in (seed, index)), 0 <= index < STREAM_BITS."""
-    _check_index(index)
-    digest = _block(source.seed, index >> 8)
-    byte = digest[(index & 255) >> 3]
-    return (byte >> (7 - (index & 7))) & 1
-
-
 def bits_range(source: BroadcastSource, start: int, length: int) -> np.ndarray:
     """Stream bits [start, start+length) as a uint8 array, within [0, STREAM_BITS)."""
     _check_index(start)

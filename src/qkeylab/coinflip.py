@@ -122,7 +122,7 @@ def _check_challenge_range(m: int, challenge_factor: int) -> None:
     """Refuse a challenge sieve past the cap, before it is built."""
     if challenge_factor * m > MAX_TABLE_PRIME:
         raise ResourceError(
-            f"challenge primes up to {challenge_factor * m} exceed the table cap {MAX_TABLE_PRIME}"
+            f"challenge primes up to {challenge_factor * m} exceed the cap {MAX_TABLE_PRIME}"
         )
 
 

@@ -7,13 +7,12 @@ over F_p, a point (r, 0) with r a root of x^3 + ax + b mod p. `_trace_is_even`
 decides that from x^p mod (f, p) and the quadratic character of the cubic's
 discriminant, for one prime (an int) or an array of primes at once. Exact
 counts #E(F_p) only give the values a_p = p + 1 - #E(F_p) of the coefficient
-sequence a(1..m): `_affine_counts` takes them for every good odd prime <= m
-at once, in blocks of consecutive primes that share one quadratic-residue
-table pass. `_count_points_table`, the same O(p) scan for one prime (capped
-at `MAX_TABLE_PRIME`), is `count_points` and the per-prime oracle. The
-remaining pieces are the splitting-degree classification of the cubic over
-the rationals, parity-density scans, and a deterministic parity-stream
-generator whose zero frequency tends to 2/3.
+sequence a(1..m): `_affine_counts`, the one point-count kernel, takes them
+for every good odd prime <= m at once, in blocks of consecutive primes that
+share one quadratic-residue table pass. The remaining pieces are the
+splitting-degree classification of the cubic over the rationals,
+parity-density scans, and a deterministic parity-stream generator whose zero
+frequency tends to 2/3.
 
 Discriminant sign convention: `Curve.discriminant` is 4a^3 + 27b^2 (used for
 good/bad prime tests and the commitment interval in the coin-flip protocol);
@@ -29,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .numtheory import is_probable_prime, primes_up_to
+from .numtheory import primes_up_to
 
 _ODD_SAMPLE_CAP = 32
 MAX_SCAN = 10**6  # largest prime bound of a parity scan and length of a parity stream
-MAX_TABLE_PRIME = 1 << 22  # largest p of the O(p) point-count tables and the coin-flip challenge sieve
+MAX_TABLE_PRIME = 1 << 22  # largest coin-flip challenge prime: the bound of the challenge sieve
 MAX_ZETA_LENGTH = 1 << 16  # a(1..m) costs ~m^2 / log m; m = 6^7 took minutes
 _ZETA_MEMO = 64  # coefficient sequences kept by `zeta_coefficients`
 _COUNT_BLOCK = 1 << 13  # (p, x) pairs per block of `_affine_counts`: 64 kB per int64 array
@@ -53,45 +52,6 @@ class Curve:
     @property
     def discriminant(self) -> int:
         return 4 * self.a**3 + 27 * self.b**2
-
-
-def _check_table_size(p: int) -> None:
-    if p > MAX_TABLE_PRIME:
-        raise ResourceError(f"p = {p} exceeds the O(p) table cap {MAX_TABLE_PRIME}")
-
-
-def _count_points_table(curve: Curve, p: int) -> int:
-    # Assumes p an odd prime coprime to the discriminant. Each x value
-    # contributes 2 points if f(x) is a nonzero square, 1 if it is zero,
-    # 0 otherwise; the is-a-square table is built from one squaring pass.
-    _check_table_size(p)
-    x = np.arange(p, dtype=np.int64)
-    xx = x * x
-    xx %= p
-    is_square = np.zeros(p, dtype=bool)
-    is_square[xx] = True
-    xx += curve.a % p
-    xx %= p
-    xx *= x
-    xx += curve.b % p
-    xx %= p
-    affine = 2 * int(is_square[xx].sum()) - int((xx == 0).sum())
-    return affine + 1
-
-
-def count_points(curve: Curve, p: int) -> int:
-    """#E(F_p) including the point at infinity, by residue-table scan
-    (p <= MAX_TABLE_PRIME)."""
-    if p <= 3 or not is_probable_prime(p):
-        raise DomainError(f"need a prime p > 3, got {p}")
-    if curve.discriminant % p == 0:
-        raise DomainError(f"curve degenerates mod {p} (divides the discriminant)")
-    return _count_points_table(curve, p)
-
-
-def frobenius_trace(curve: Curve, p: int) -> int:
-    """a_p = p + 1 - #E(F_p); satisfies |a_p| <= 2*sqrt(p) (Hasse bound)."""
-    return p + 1 - count_points(curve, p)
 
 
 # -- splitting degree of the cubic over Q -------------------------------------
@@ -171,15 +131,6 @@ def _bad_prime_coefficient(curve: Curve, p: int) -> int:
     return 1 if pow(3 * x0, (p - 1) // 2, p) == 1 else -1
 
 
-def _prime_coefficient_sieved(curve: Curve, p: int) -> int:
-    # `p` must come from a prime sieve; skips the primality check.
-    if curve.discriminant % p == 0:
-        return _bad_prime_coefficient(curve, p)
-    if p == 2:  # squaring is the identity on F_2: one y for each x, 3 points
-        return 0
-    return p + 1 - _count_points_table(curve, p)
-
-
 def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
     """a(1..m): a(p) from the curve, prime powers by the standard recursion
     a(p^k) = a(p) a(p^(k-1)) - p a(p^(k-2)) at good primes (a(p)^k at bad
@@ -204,8 +155,7 @@ def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
 
 def _affine_counts(curve: Curve, primes: np.ndarray) -> np.ndarray:
     """#E(F_p) - 1, the affine points, at each good odd prime of the int64
-    array `primes` (each p <= MAX_ZETA_LENGTH): `_count_points_table` for a
-    run of primes at once.
+    array `primes` (each p <= MAX_ZETA_LENGTH), from residue tables.
 
     Runs of consecutive primes whose sum is at most `_COUNT_BLOCK` share one
     table of (p, x) pairs, x = 0..p-1 for each p in turn from offset `start`,

@@ -403,7 +403,10 @@ def brute_force_dlog(p: int, g: int, target: int) -> int | None:
 
 
 def crack_classic_dh(p: int, g: int, share_a: int, share_b: int) -> int:
-    """Recover the classic-exchange key from its public view (O(p) work)."""
+    """Recover the classic-exchange key from its public view (O(p) work).
+
+    (p, g) must be valid `DhParams`, checked before any work."""
+    DhParams(p, g)
     a = brute_force_dlog(p, g, share_a)
     if a is None:
         raise DomainError("share is not a power of the announced base")
@@ -416,7 +419,14 @@ def pq_candidate_keys(p: int, share_a: int, share_b: int, width: int) -> list[in
     Without the tweaked generator, Eve must try all 2**width candidates and
     solve a discrete log for each; different candidates generally produce
     different keys, so the public view alone does not determine the key.
+    p must be an odd prime and 1 <= width <= MAX_TELEPORT_BITS, the widest
+    window `pq_dh` admits; both are checked before any work.
     """
+    _check_modulus(p)
+    if width < 1:
+        raise DomainError(f"need width >= 1, got {width}")
+    if width > MAX_TELEPORT_BITS:
+        raise ResourceError(f"width {width} exceeds the teleport cap {MAX_TELEPORT_BITS}")
     keys = set()
     for g1 in range(1, 1 << width):
         if g1 % p == 0:

@@ -11,8 +11,8 @@ Conventions, fixed once for the whole package:
   row with the same arithmetic as on a single state.
 * Operations are pure: they return fresh states and never mutate inputs.
 * `apply_gate` checks a whole gate sequence up front and builds one `StateVector`.
-* Randomness enters only through an explicitly injected
-  ``numpy.random.Generator``; the module holds no ambient RNG state.
+* Randomness enters only as uniform draws that the caller passes to
+  `_collapse`; the module holds no RNG state.
 """
 from __future__ import annotations
 
@@ -100,14 +100,6 @@ class StateVector:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > _NORM_ATOL:
             raise DomainError(f"state norm {norm} deviates from 1 beyond {_NORM_ATOL}")
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One projective measurement: the outcome and its Born weight."""
-
-    outcome: int
-    probability: float
 
 
 def new_basis_state(n_qubits: int, basis_index: int) -> StateVector:
@@ -200,23 +192,6 @@ def _collapse(
     halves[..., 0, :][ones] = 0.0
     halves[..., 1, :][~ones] = 0.0
     return ones, p_outcome, out
-
-
-def measurement_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
-    """Born-rule probabilities (p0, p1) for measuring `qubit`."""
-    _check_targets(state, (qubit,))
-    p1 = float(_p1(state.amplitudes, qubit))
-    return 1.0 - p1, p1
-
-
-def measure_qubit(
-    state: StateVector, qubit: int, rng: np.random.Generator
-) -> tuple[MeasurementRecord, StateVector]:
-    """Sample a projective measurement of `qubit`, collapsing the state."""
-    _check_targets(state, (qubit,))
-    ones, p_outcome, amps = _collapse(state.amplitudes, qubit, rng.random())
-    record = MeasurementRecord(int(ones), float(p_outcome))
-    return record, StateVector(state.n_qubits, amps)
 
 
 def fidelity(s1: StateVector, s2: StateVector) -> float:

@@ -12,7 +12,8 @@ the per-vertex coin factors (2/d, 0 where marked), the marked arcs and the rever
 `walk_distribution` and `success_probability_trace` share one walk loop,
 validated on entry and exit only, whose trace reads only the marked arcs. It
 runs on float64: the coin is real, the shift permutes and the start is
-uniform, so the complex walk's amplitudes are exactly these real ones.
+uniform, so the complex walk's amplitudes are exactly these real ones. The
+validated complex step is the loop's oracle in `tests/oracles.py`.
 
 On a torus grid with a single marked vertex this walk finds the mark in
 O(sqrt(N log N)) steps with success probability Omega(1/log N); the
@@ -36,6 +37,7 @@ from .broadcast import (
 from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS
 from .errors import DomainError, ResourceError
 from .keyexchange import run_clock_sync
+from .teleport import MAX_TELEPORT_BITS
 from .transcript import Transcript
 
 # The largest graph a builder makes: the eve-qwalk key space at depth 16.
@@ -190,14 +192,6 @@ def _apply_coin(amps: np.ndarray, graph: Graph) -> np.ndarray:
     coined = np.repeat(graph.coin_factor * block_sums, graph.arc_degrees)
     coined -= amps
     return coined
-
-
-def step(state: CoinedWalkState, graph: Graph) -> CoinedWalkState:
-    """One validated coin-then-shift step of a complex state: the walk loop's oracle."""
-    amps = state.amplitudes
-    if amps.shape != (graph.n_arcs,):
-        raise DomainError(f"state has {amps.shape} amplitudes, graph has {graph.n_arcs} arcs")
-    return CoinedWalkState(_apply_coin(amps, graph).take(graph.arc_reversal))
 
 
 def position_probabilities(state: CoinedWalkState, graph: Graph) -> np.ndarray:
@@ -360,8 +354,11 @@ def walk_agreement(
     The walk depth equals the window length; the start time and depth are
     public, the operator seed rides the teleportation channel only. The
     clock sync runs the default ladder of the broadcast protocols (`SYNC_*`).
+    A window longer than `MAX_TELEPORT_BITS` is refused before the sync.
     """
     depth = window.length
+    if depth > MAX_TELEPORT_BITS:
+        raise ResourceError(f"window length {depth} exceeds the teleport cap {MAX_TELEPORT_BITS}")
     run = run_clock_sync(source, alice, bob, rng, SYNC_N_BITS, SYNC_T_MAX_NS, SYNC_SHOTS_PER_BIT)
     t_alice = aligned_start_time(source, alice, window.start_local_time_ns)
     run.transcript.add("walk-window", "alice", "public", f"{t_alice:.3f},{depth}".encode())

@@ -12,8 +12,7 @@ rotates qubits 0 and 1 so that the joint measurement reads them in the
 computational basis. One sampler, `_measure`, collapses qubit 1, then qubit
 0, of a stack of frames and corrects each receiver. `teleport_state` runs it
 on a stack of one; `teleport_index` on one stack holding every bit of an
-integer. `teleport_branches`, the validated oracle, reads all four outcomes
-off the frame's amplitudes without sampling.
+integer.
 """
 from __future__ import annotations
 
@@ -57,16 +56,6 @@ class BellOutcome:
 class TeleportTranscript:
     outcome: BellOutcome
     fidelity: float
-
-
-@dataclass(frozen=True)
-class TeleportBranch:
-    """One of the four measurement branches, enumerated exactly."""
-
-    outcome: BellOutcome
-    probability: float
-    receiver_before: StateVector
-    receiver_after: StateVector
 
 
 def _bell_frame(input_state: StateVector) -> StateVector:
@@ -115,25 +104,6 @@ def teleport_state(
     receiver = StateVector(1, receivers[0])
     outcome = BellOutcome(int(bit_z[0]), int(bit_x[0]))
     return TeleportTranscript(outcome, fidelity(input_state, receiver)), receiver
-
-
-def teleport_branches(input_state: StateVector) -> tuple[TeleportBranch, ...]:
-    """Enumerate all four measurement branches exactly (no sampling).
-
-    Useful for exhaustive checks: every branch has probability 1/4, the
-    receiver's corrected state always matches the input, and the receiver's
-    uncorrected states average to the maximally mixed state.
-    """
-    state = _bell_frame(input_state)
-    branches = []
-    for bit_z in (0, 1):
-        for bit_x in (0, 1):
-            sub = _receiver_state(state.amplitudes, bit_z, bit_x)
-            prob = float((np.abs(sub) ** 2).sum())
-            before = StateVector(1, sub / np.sqrt(prob))
-            after = StateVector(1, _correct(before.amplitudes, bit_z, bit_x))
-            branches.append(TeleportBranch(BellOutcome(bit_z, bit_x), prob, before, after))
-    return tuple(branches)
 
 
 def teleport_index(

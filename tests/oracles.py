@@ -1,0 +1,145 @@
+"""Slow, obvious twins of the library's fast paths, kept as test oracles.
+
+No library code calls these. Each one runs the same private kernels or the
+same arithmetic as the path it guards, one item at a time, so the tests can
+compare the two bit for bit:
+
+* `bit_at`: one stream bit from one SHA-256 block, the twin of
+  `broadcast.bits_range`.
+* `count_points`, `frobenius_trace` and `prime_coefficient`: #E(F_p), a_p
+  and the coefficient a(p) of one prime from one O(p) residue table. The
+  table is the twin of the blocked `ecurve._affine_counts`; the trace parity
+  is the oracle of `ecurve._trace_is_even` (and so of the parity scans, the
+  parity stream and the coin-flip trials); `prime_coefficient` is the
+  per-prime twin of `ecurve._zeta_values`.
+* `measurement_probabilities` and `measure_qubit`: one state's Born weights
+  and one sampled collapse, through `qstate._p1` and `qstate._collapse`.
+  They read out the chained rung circuit that guards the clock-sync ladder
+  (`clocksync._ladder_p1`), build the per-state twins of
+  `teleport.teleport_state` and `teleport.teleport_index`, and are the
+  single-row reference of `_collapse` on a stack.
+* `teleport_branches`: all four measurement branches of a teleport run,
+  read off the Bell frame without sampling, the exact view of
+  `teleport.teleport_state`.
+* `step`: one validated coin-then-shift step of a complex walk state, the
+  twin of the walk loop behind `qwalk.walk_distribution` and
+  `qwalk.success_probability_trace`.
+"""
+from dataclasses import dataclass
+
+import numpy as np
+
+from qkeylab import broadcast, ecurve, qstate, qwalk, teleport
+from qkeylab.errors import DomainError
+from qkeylab.qstate import StateVector
+from qkeylab.teleport import BellOutcome
+
+# -- broadcast -------------------------------------------------------------------
+
+
+def bit_at(source: broadcast.BroadcastSource, index: int) -> int:
+    """Stream bit at `index` (deterministic in (seed, index)), 0 <= index < STREAM_BITS."""
+    broadcast._check_index(index)
+    digest = broadcast._block(source.seed, index >> 8)
+    byte = digest[(index & 255) >> 3]
+    return (byte >> (7 - (index & 7))) & 1
+
+
+# -- ecurve ----------------------------------------------------------------------
+
+
+def count_points(curve: ecurve.Curve, p: int) -> int:
+    """#E(F_p) including the point at infinity, for an odd prime p coprime to
+    the discriminant. Each x value contributes 2 points if f(x) is a nonzero
+    square, 1 if it is zero, 0 otherwise; the is-a-square table is built from
+    one squaring pass."""
+    x = np.arange(p, dtype=np.int64)
+    xx = x * x
+    xx %= p
+    is_square = np.zeros(p, dtype=bool)
+    is_square[xx] = True
+    xx += curve.a % p
+    xx %= p
+    xx *= x
+    xx += curve.b % p
+    xx %= p
+    affine = 2 * int(is_square[xx].sum()) - int((xx == 0).sum())
+    return affine + 1
+
+
+def frobenius_trace(curve: ecurve.Curve, p: int) -> int:
+    """a_p = p + 1 - #E(F_p); satisfies |a_p| <= 2*sqrt(p) (Hasse bound)."""
+    return p + 1 - count_points(curve, p)
+
+
+def prime_coefficient(curve: ecurve.Curve, p: int) -> int:
+    """a(p) for a prime p: the reduction type at a bad prime, 0 at a good 2,
+    otherwise the trace from the point count."""
+    if curve.discriminant % p == 0:
+        return ecurve._bad_prime_coefficient(curve, p)
+    if p == 2:  # squaring is the identity on F_2: one y for each x, 3 points
+        return 0
+    return frobenius_trace(curve, p)
+
+
+# -- qstate ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MeasurementRecord:
+    """One projective measurement: the outcome and its Born weight."""
+
+    outcome: int
+    probability: float
+
+
+def measurement_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
+    """Born-rule probabilities (p0, p1) for measuring `qubit`."""
+    qstate._check_targets(state, (qubit,))
+    p1 = float(qstate._p1(state.amplitudes, qubit))
+    return 1.0 - p1, p1
+
+
+def measure_qubit(
+    state: StateVector, qubit: int, rng: np.random.Generator
+) -> tuple[MeasurementRecord, StateVector]:
+    """Sample a projective measurement of `qubit`, collapsing the state."""
+    qstate._check_targets(state, (qubit,))
+    ones, p_outcome, amps = qstate._collapse(state.amplitudes, qubit, rng.random())
+    record = MeasurementRecord(int(ones), float(p_outcome))
+    return record, StateVector(state.n_qubits, amps)
+
+
+# -- teleport --------------------------------------------------------------------
+
+
+def teleport_branches(input_state: StateVector):
+    """All four measurement branches, exactly (no sampling), in the order
+    (0, 0), (0, 1), (1, 0), (1, 1) of (bit_z, bit_x): one tuple
+    (outcome, probability, receiver_before, receiver_after) per branch.
+
+    Every branch has probability 1/4, the receiver's corrected state always
+    matches the input, and the receiver's uncorrected states average to the
+    maximally mixed state.
+    """
+    state = teleport._bell_frame(input_state)
+    branches = []
+    for bit_z in (0, 1):
+        for bit_x in (0, 1):
+            sub = teleport._receiver_state(state.amplitudes, bit_z, bit_x)
+            prob = float((np.abs(sub) ** 2).sum())
+            before = StateVector(1, sub / np.sqrt(prob))
+            after = StateVector(1, teleport._correct(before.amplitudes, bit_z, bit_x))
+            branches.append((BellOutcome(bit_z, bit_x), prob, before, after))
+    return tuple(branches)
+
+
+# -- qwalk -----------------------------------------------------------------------
+
+
+def step(state: qwalk.CoinedWalkState, graph: qwalk.Graph) -> qwalk.CoinedWalkState:
+    """One validated coin-then-shift step of a complex state."""
+    amps = state.amplitudes
+    if amps.shape != (graph.n_arcs,):
+        raise DomainError(f"state has {amps.shape} amplitudes, graph has {graph.n_arcs} arcs")
+    return qwalk.CoinedWalkState(qwalk._apply_coin(amps, graph).take(graph.arc_reversal))

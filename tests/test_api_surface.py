@@ -1,12 +1,17 @@
 """Every public function and class of a qkeylab module has a caller in the
-library or the benchmark, unless it is named below as a test oracle or a
-model entry point. Names that only tests call belong in the tests.
+library or the benchmark, unless it is named below as a gate of the
+documented set or a model entry point. Names that only tests call belong in
+the tests: the slow twins live in `tests/oracles.py`.
 
 The same holds one level down: every public method of a public class is
 called and every public property read in the library or the benchmark, and
 every defaulted parameter of a public function, method or class is set by
 some call there, unless it is named below. A member or an option that only
-tests use is surface without a use."""
+tests use is surface without a use.
+
+Both sides of that line are checked: every module-level private function
+under src/ is read by other code there, and every public function and class
+of `tests/oracles.py` is imported by some test module."""
 import ast
 import dataclasses
 import importlib
@@ -19,14 +24,9 @@ import qkeylab
 ROOT = Path(__file__).resolve().parents[1]
 
 KEPT_WITHOUT_CALLER = {
-    # Slow, obvious twins that tests compare the fast paths against.
-    "bit_at",  # broadcast: one bit of the stream, the bits_range oracle
-    "frobenius_trace",  # ecurve: a_p from a point count, the parity oracle
-    "teleport_branches",  # teleport: all four outcomes of teleport_state
-    "step",  # qwalk: one validated walk step, the oracle for the walk loop
-    "phase",  # qstate: the PHASE gate of the chained rung circuit, the clock-sync ladder's oracle
-    "measurement_probabilities",  # qstate: one state's Born weights, that oracle's readout
-    "measure_qubit",  # qstate: the per-state teleport twin's readout, the _collapse row reference
+    # The PHASE gate of the documented set {H, X, Z, PHASE, CNOT}; the tests
+    # build the clock-sync ladder's chained rung circuit from it.
+    "phase",  # qstate
     # Entry points of the paper's models that no scenario runs yet.
     "crack_classic_dh",  # keyexchange: the eavesdropper who breaks classical DH
     "pq_candidate_keys",  # keyexchange: the eavesdropper's candidates in pq_dh
@@ -43,9 +43,14 @@ KEPT_UNSET_DEFAULTS = {
 }
 
 
+def _trees(paths):
+    for path in paths:
+        yield path, ast.parse(path.read_text(), str(path))
+
+
 def library_trees():
-    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
-        yield ast.parse(path.read_text(), str(path))
+    for _, tree in _trees([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]):
+        yield tree
 
 
 def referenced_names():
@@ -221,3 +226,51 @@ def test_every_default_is_set_by_a_caller_or_kept_on_purpose():
     assert sorted(unset - KEPT_UNSET_DEFAULTS) == []
     # Every kept entry still exists and still has no caller that sets it.
     assert sorted(KEPT_UNSET_DEFAULTS - unset) == []
+
+
+def _loaded_names(node):
+    """Every identifier that `node` reads, as a name or an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_private_function_has_a_caller_in_the_library():
+    # A private helper that only tests call is a slow twin (tests/oracles.py)
+    # or dead code. Importing a name is not a use, and neither is recursion.
+    private, read = {}, set()
+    for path, tree in _trees((ROOT / "src").rglob("*.py")):
+        for node in tree.body:
+            names = _loaded_names(node)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                private[node.name] = f"{path.stem}.{node.name}"
+                names.discard(node.name)
+            read |= names
+    assert len(private) > 10
+    assert sorted(qualified for name, qualified in private.items() if name not in read) == []
+
+
+def test_every_oracle_is_imported_by_a_test():
+    import oracles
+
+    public = {
+        name
+        for name, obj in vars(oracles).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == oracles.__name__
+    }
+    imported = set()
+    for _, tree in _trees((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "oracles":
+                    imported.add(node.attr)
+    assert public
+    assert sorted(public - imported) == []

@@ -9,7 +9,6 @@ from qkeylab.broadcast import (
     KeyWindow,
     Receiver,
     aligned_start_time,
-    bit_at,
     bits_range,
     bits_to_hex,
     bits_to_int,
@@ -19,6 +18,7 @@ from qkeylab.broadcast import (
     int_to_bits,
     reception_index,
 )
+from oracles import bit_at
 
 SOURCE = BroadcastSource(seed=0xDEADBEEF, bitrate=1e6)
 

@@ -138,6 +138,38 @@ class TestMain:
         assert first != second
 
 
+class TestStatisticalVerdicts:
+    """A frequency verdict allows a multiple of its standard error, with the
+    tolerance field as a floor: 4 sigma per outcome for teleport-demo, whose
+    four outcomes share one verdict, and 3 sigma for the coin's heads."""
+
+    def test_teleport_demo_passes_at_the_defaults(self, capsys):
+        assert [main(["teleport-demo", "--master-seed", str(seed)]) for seed in range(1, 11)] == [0] * 10
+
+    def test_readme_coinflip_example_passes(self, capsys):
+        assert main(["coinflip", "--b", "256", "--k", "3", "--sessions", "2000"]) == 0
+
+    @pytest.mark.parametrize("first,ok", [(300, True), (310, False)])
+    def test_teleport_outcome_bias_past_four_sigma_fails(self, first, ok, monkeypatch):
+        # 1000 trials: 4 sigma is 0.0548, so 0.30 and 0.20 pass and 0.31 and
+        # 0.19 fail, while the 0.02 floor alone would fail both.
+        outcomes = [(0, 0)] * first + [(0, 1)] * (500 - first) + [(1, 0)] * 250 + [(1, 1)] * 250
+        monkeypatch.setattr(cli, "_teleport_trial", lambda i, rng, p: (1.0, *outcomes[i]))
+        verdicts = dict(run(build_config("teleport-demo", workers=1)).verdicts)
+        assert verdicts == {"fidelity_floor": True, "outcome_balance": ok}
+
+    @pytest.mark.parametrize("heads,ok", [(1060, True), (1070, False)])
+    def test_heads_bias_past_three_sigma_fails(self, heads, ok, monkeypatch):
+        # 2000 decided sessions: 3 sigma is 0.0335, so 0.53 passes and 0.535
+        # fails, while the 0.02 floor alone would fail both.
+        def session(i, rng, p):
+            return coinflip.HEADS if i < heads else coinflip.TAILS, 2, True
+
+        monkeypatch.setattr(cli, "_coinflip_session", session)
+        report = run(build_config("coinflip", overrides={"sessions": "2000"}, workers=1))
+        assert dict(report.verdicts)["heads_balance"] is ok
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("scenario,overrides", [
         ("teleport-demo", {"trials": "60"}),

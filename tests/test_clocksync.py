@@ -13,7 +13,8 @@ from qkeylab.clocksync import (
     SyncResult,
     ticking_qubit_sync,
 )
-from qkeylab.qstate import apply_gate, h, measurement_probabilities, new_basis_state, phase
+from qkeylab.qstate import apply_gate, h, new_basis_state, phase
+from oracles import measurement_probabilities
 
 T_MAX = 1.6384e6  # ns
 

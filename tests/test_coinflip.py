@@ -5,7 +5,7 @@ import pytest
 
 from qkeylab import coinflip, ecurve
 from qkeylab.errors import DomainError, ResourceError
-from qkeylab.ecurve import Curve, _zeta_values, frobenius_trace, splitting_degree, zeta_coefficients
+from qkeylab.ecurve import Curve, _zeta_values, splitting_degree, zeta_coefficients
 from qkeylab.coinflip import (
     HEADS,
     MAX_COMMITMENT,
@@ -21,6 +21,7 @@ from qkeylab.coinflip import (
     run_session,
     run_trial,
 )
+from oracles import frobenius_trace
 
 
 def make_session(curve, B, k):
@@ -136,18 +137,24 @@ class TestTrials:
         assert all(type(parity) is int for parity in trial.parities)
 
     def test_trials_and_verification_build_no_point_count_table(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a per-prime point-count table was built")
+        counts = []
+        affine_counts = ecurve._affine_counts
 
-        monkeypatch.setattr(ecurve, "_count_points_table", refuse)
+        def counting(*args):
+            counts.append(1)
+            return affine_counts(*args)
+
+        monkeypatch.setattr(ecurve, "_affine_counts", counting)
         _zeta_values.cache_clear()  # setup computes its commitment afresh
         rng = np.random.default_rng(8)
         session = alice_setup(4096, 3, rng)
+        assert len(counts) == 1  # one pass for the fresh commitment sequence
         hits = _zeta_values.cache_info().hits
         for _ in range(12):
             run_trial(session, *bob_choose_primes(session.m, rng))
         assert bob_verify(session).ok
         assert _zeta_values.cache_info().hits == hits + 1  # bob_verify's commitment
+        assert len(counts) == 1  # trials and the memoized recomputation count nothing
 
     def test_composite_challenge_rejected(self):
         session = make_session(Curve(0, -2), 64, 3)

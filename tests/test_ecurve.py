@@ -10,17 +10,15 @@ from qkeylab.ecurve import (
     _ZETA_MEMO,
     MAX_ZETA_LENGTH,
     _bad_prime_coefficient,
-    _prime_coefficient_sieved,
     _zeta_values,
     Curve,
-    count_points,
-    frobenius_trace,
     parity_density_scan,
     parity_prng,
     select_curve,
     splitting_degree,
     zeta_coefficients,
 )
+from oracles import count_points, frobenius_trace, prime_coefficient
 from test_input_caps import ARNAULT_P1, BASE_41_PSEUDOPRIMES
 
 
@@ -84,17 +82,6 @@ class TestCountPoints:
             count = count_points(curve, p)
             assert abs(p + 1 - count) <= 2 * math.sqrt(p)
             checked += 1
-
-    def test_bad_prime_rejected(self):
-        curve = Curve(1, 1)  # discriminant 31
-        with pytest.raises(DomainError):
-            count_points(curve, 31)
-
-    def test_small_or_composite_p_rejected(self):
-        with pytest.raises(DomainError):
-            count_points(Curve(1, 1), 3)
-        with pytest.raises(DomainError):
-            count_points(Curve(1, 1), 15)
 
     def test_singular_curve_rejected(self):
         with pytest.raises(DomainError):
@@ -193,7 +180,7 @@ class TestZetaCoefficients:
                 while n % p == 0:
                     n //= p
                     e += 1
-                ap = _prime_coefficient_sieved(curve, p)
+                ap = prime_coefficient(curve, p)
                 if curve.discriminant % p == 0:
                     term = ap**e
                 else:
@@ -243,7 +230,7 @@ class TestZetaCoefficients:
             for p in primes_up_to(200).tolist():
                 if p <= 3 or curve.discriminant % p:
                     continue
-                ap = _prime_coefficient_sieved(curve, p)
+                ap = prime_coefficient(curve, p)
                 assert ap in (-1, 0, 1)
                 assert ap == p + 1 - brute_count(curve.a, curve.b, p)
 
@@ -270,7 +257,7 @@ class TestZetaCoefficients:
     def test_additive_reduction_when_p_divides_both(self):
         curve = Curve(5, 25)  # disc = 4*125 + 27*625 = 17375 = 5^3 * 139
         assert curve.discriminant % 5 == 0
-        assert _prime_coefficient_sieved(curve, 5) == zeta_coefficients(curve, 5).values[4] == 0
+        assert prime_coefficient(curve, 5) == zeta_coefficients(curve, 5).values[4] == 0
 
     def test_invalid_length_rejected(self):
         with pytest.raises(DomainError):
@@ -297,11 +284,11 @@ BLOCK_CURVES = sample_curves(4) + [
 
 
 def per_prime_zeta(curve, m):
-    """a(1..m) one prime at a time from `_prime_coefficient_sieved`, with the
+    """a(1..m) one prime at a time from `prime_coefficient`, with the
     prime-power recursion at every prime."""
     values = np.ones(m + 1, dtype=np.int64)
     for p in primes_up_to(m).tolist():
-        ap = _prime_coefficient_sieved(curve, p)
+        ap = prime_coefficient(curve, p)
         good = curve.discriminant % p != 0
         part = np.full(m // p, ap, dtype=np.int64)
         q, prev, prev2 = p, ap, 1
@@ -322,7 +309,7 @@ class TestBlockedCounts:
         for curve in BLOCK_CURVES:
             good = np.array([p for p in primes.tolist() if curve.discriminant % p], dtype=np.int64)
             counts = ecurve._affine_counts(curve, good) + 1
-            expected = [ecurve._count_points_table(curve, p) for p in good.tolist()]
+            expected = [count_points(curve, p) for p in good.tolist()]
             assert counts.tolist() == expected, curve
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 120, 121, 168, 169, 512, 1728])
@@ -331,12 +318,10 @@ class TestBlockedCounts:
             values = _zeta_values.__wrapped__(curve.a, curve.b, m)
             assert np.array_equal(values, per_prime_zeta(curve, m)), (curve, m)
 
-    def test_sequence_builds_no_per_prime_table(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a per-prime coefficient was computed")
-
-        monkeypatch.setattr(ecurve, "_count_points_table", refuse)
-        monkeypatch.setattr(ecurve, "_prime_coefficient_sieved", refuse)
+    def test_sequence_builds_no_per_prime_table(self):
+        # No per-prime count is left to refuse: `_affine_counts` is the
+        # library's one point count. A bad prime above sqrt(m) still takes
+        # its reduction type.
         values = _zeta_values.__wrapped__(5, 25, 1728)
         assert values[138] == ecurve._bad_prime_coefficient(Curve(5, 25), 139)
 
@@ -503,13 +488,13 @@ class TestSmallPrimeCoefficients:
     def test_value_at_two_from_affine_count(self):
         # Over F_2 squaring is the identity, so every x gives exactly one y:
         # 2 affine points + infinity = 3, hence a(2) = 2 + 1 - 3 = 0.
-        assert _prime_coefficient_sieved(Curve(1, 1), 2) == 0
+        assert prime_coefficient(Curve(1, 1), 2) == 0
 
     def test_value_at_three_by_hand(self):
         # f(x) = x^3 + x + 1 mod 3 takes values 1, 0, 2 at x = 0, 1, 2;
         # squares mod 3 come with multiplicities {0: 1, 1: 2, 2: 0}, so the
         # affine count is 2 + 1 + 0 = 3 and a(3) = 3 + 1 - 4 = 0.
-        assert _prime_coefficient_sieved(Curve(1, 1), 3) == 0
+        assert prime_coefficient(Curve(1, 1), 3) == 0
 
     def test_values_at_two_and_three_from_affine_count(self):
         # Every curve of a small box with good reduction at p: the residue
@@ -524,7 +509,7 @@ class TestSmallPrimeCoefficients:
                 for p in (2, 3):
                     if disc % p:
                         expected = p + 1 - brute_count(a, b, p)
-                        assert _prime_coefficient_sieved(Curve(a, b), p) == seq[p - 1] == expected
+                        assert prime_coefficient(Curve(a, b), p) == seq[p - 1] == expected
                         checked += 1
         assert checked > 100
 

@@ -1,7 +1,7 @@
 """Size caps on primes and moduli, stream reads, storage spans, sync ladders, teleported
 integers and flip indices, bit conversions, slot schedules, walk graphs and key grids,
-searches, traces and sweeps, and the stream-position checks on receiver geometry and
-stored indices."""
+searches, traces and sweeps, the desk-scale eavesdropper's moduli and widths, and the
+stream-position checks on receiver geometry and stored indices."""
 import math
 
 import numpy as np
@@ -102,6 +102,64 @@ def test_pq_dh_window_past_the_teleport_cap_fires_before_the_sync():
     window = KeyWindow(0.0, teleport.MAX_TELEPORT_BITS + 1)
     with pytest.raises(ResourceError, match="cap"):
         pq_dh(*_link(), window, 23, PartySecret(3), PartySecret(5), RefusingGenerator())
+
+
+def test_walk_agreement_window_past_the_teleport_cap_fires_before_the_sync(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the clock sync ran past the cap")
+
+    monkeypatch.setattr(qwalk, "run_clock_sync", refuse)
+    source, alice, bob = _link()
+    window = KeyWindow(0.0, teleport.MAX_TELEPORT_BITS + 1)
+    with pytest.raises(ResourceError, match="cap"):
+        qwalk.walk_agreement(alice, bob, source, window, RefusingGenerator())
+
+
+def _refuse_dlog(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a discrete log started before the argument checks")
+
+    monkeypatch.setattr(keyexchange, "brute_force_dlog", refuse)
+
+
+# (p, share_a, share_b, width, error): moduli that are no odd prime or pass
+# the modulus cap, and widths outside 1..MAX_TELEPORT_BITS.
+BAD_CANDIDATE_ARGS = [
+    (0, 1, 1, 4, DomainError),
+    (1, 1, 1, 4, DomainError),
+    (4, 1, 1, 4, DomainError),
+    (-23, 1, 1, 4, DomainError),
+    pytest.param((1 << numtheory.MAX_PRIME_BITS) + 1, 1, 1, 4, ResourceError, id="p-past-the-cap"),
+    (23, 1, 1, 0, DomainError),
+    (23, 1, 1, -1, DomainError),
+    (23, 1, 1, teleport.MAX_TELEPORT_BITS + 1, ResourceError),
+    (23, 1, 1, 2**63, ResourceError),
+]
+
+
+@pytest.mark.parametrize("p,share_a,share_b,width,error", BAD_CANDIDATE_ARGS)
+def test_candidate_keys_check_their_arguments_before_any_discrete_log(
+    p, share_a, share_b, width, error, monkeypatch
+):
+    _refuse_dlog(monkeypatch)
+    with pytest.raises(error):
+        keyexchange.pq_candidate_keys(p, share_a, share_b, width)
+
+
+@pytest.mark.parametrize(
+    "p,g,error",
+    [
+        (0, 1, DomainError),
+        (4, 3, DomainError),
+        (23, 0, DomainError),
+        (23, 23, DomainError),
+        pytest.param((1 << numtheory.MAX_PRIME_BITS) + 1, 3, ResourceError, id="p-past-the-cap"),
+    ],
+)
+def test_classic_crack_checks_its_parameters_before_any_discrete_log(p, g, error, monkeypatch):
+    _refuse_dlog(monkeypatch)
+    with pytest.raises(error):
+        keyexchange.crack_classic_dh(p, g, 1, 1)
 
 
 def _refuse_primality_tests(monkeypatch):

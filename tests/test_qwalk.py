@@ -22,7 +22,6 @@ from qkeylab.qwalk import (
     position_probabilities,
     scaling_sweep,
     search,
-    step,
     success_probability_trace,
     sweep_step_cap,
     torus_graph,
@@ -31,6 +30,7 @@ from qkeylab.qwalk import (
     walk_agreement,
     walk_distribution,
 )
+from oracles import step
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "qwalk_sweep.json").read_text())
 

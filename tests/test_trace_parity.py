@@ -1,6 +1,5 @@
 """The O(log p) trace-parity path, for one prime or many, against its O(p)
-point-count twin, and the size caps of the parity scans and the point-count
-tables."""
+point-count twin, and the size caps of the parity scans."""
 import math
 import random
 
@@ -10,28 +9,24 @@ import pytest
 from qkeylab import ecurve
 from qkeylab.ecurve import (
     MAX_SCAN,
-    MAX_TABLE_PRIME,
     Curve,
-    _count_points_table,
     _integer_roots,
-    _prime_coefficient_sieved,
     _residues,
     _trace_is_even,
-    count_points,
-    frobenius_trace,
     parity_density_scan,
     parity_prng,
     splitting_degree,
 )
 from qkeylab.errors import ResourceError
 from qkeylab.numtheory import is_probable_prime, primes_up_to
+from oracles import frobenius_trace, prime_coefficient
 
 BEYOND_INT64 = 1 << 70
 NAMED_CURVES = {(-1, 0): 1, (0, -1): 2, (-3, 1): 3, (0, -2): 6}
 
 
 def table_parity_is_even(curve, primes):
-    return np.array([(p + 1 - _count_points_table(curve, p)) & 1 == 0 for p in primes.tolist()])
+    return np.array([frobenius_trace(curve, p) & 1 == 0 for p in primes.tolist()])
 
 
 def good_primes(curve, hi, lo=5):
@@ -137,7 +132,7 @@ class TestOnePrimeOrMany:
             for b in range(-6, 7):
                 for p in (2, 3):
                     if (4 * a**3 + 27 * b**2) % p:  # good at p, so nonsingular
-                        even = _prime_coefficient_sieved(Curve(a, b), p) & 1 == 0
+                        even = prime_coefficient(Curve(a, b), p) & 1 == 0
                         assert _trace_is_even(Curve(a, b), p) == even, (a, b, p)
 
 
@@ -217,21 +212,3 @@ class TestCaps:
     def test_stream_length_capped(self, no_sieve):
         with pytest.raises(ResourceError):
             parity_prng(1, MAX_SCAN + 1)
-
-    def test_point_count_tables_capped(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("table allocated past the cap")
-
-        p = next(n for n in range(MAX_TABLE_PRIME + 1, 2 * MAX_TABLE_PRIME) if is_probable_prime(n))
-        monkeypatch.setattr(ecurve.np, "arange", refuse)
-        with pytest.raises(ResourceError):
-            count_points(Curve(1, 1), p)
-        with pytest.raises(ResourceError):
-            frobenius_trace(Curve(1, 1), p)
-        with pytest.raises(ResourceError):
-            _prime_coefficient_sieved(Curve(1, 1), p)
-        # p divides a, b and the discriminant p^2 (4p + 27): a cusp, whose
-        # coefficient has a closed form at any p.
-        assert _prime_coefficient_sieved(Curve(p, p), p) == 0
-        # The parity needs no table at any p.
-        assert isinstance(_trace_is_even(Curve(1, 1), p), bool)
