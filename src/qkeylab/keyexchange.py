@@ -23,6 +23,7 @@ Derived keys are one-shot: reading them a second time raises.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,7 @@ def _check_secret(secret: PartySecret, p: int):
 
 
 def random_secret(p: int, rng: np.random.Generator) -> PartySecret:
-    """Uniform secret exponent in [1, p-1]; p may exceed 64 bits."""
+    """Uniform secret exponent in [1, p-1]; p may exceed 64 bits, up to MAX_PRIME_BITS."""
     if p < 3:
         raise DomainError(f"modulus too small: {p}")
     return PartySecret(1 + random_below(p - 1, rng))
@@ -392,22 +393,53 @@ def private_exchange(
 # -- desk-scale eavesdropper with unlimited classical compute -----------------
 
 
-def brute_force_dlog(p: int, g: int, target: int) -> int | None:
-    """Smallest e with g^e == target mod p, or None if target is outside <g>."""
-    value = 1
-    for e in range(p - 1):
-        if value == target:
-            return e
-        value = value * g % p
-    return None
+# A log table is an int32 per residue plus the int64 powers it is filled from, 48 MB
+# at 2^22, and O(p) per call; a larger p needs baby-step giant-step or Pohlig-Hellman.
+MAX_DLOG_PRIME = 1 << 22
+
+
+def _log_table(p: int) -> np.ndarray:
+    """L[r^k mod p] = k for k < p - 1, r the least primitive root of the odd prime p."""
+    n = p - 1
+    # r has order n, so is a primitive root, iff r^e != 1 for every proper divisor e of n.
+    proper_divisors = np.flatnonzero(n % np.arange(1, n) == 0) + 1
+    r = next(r for r in range(2, p) if all(pow(r, int(e), p) != 1 for e in proper_divisors))
+    # Filled by doubling, powers[k:2k] = powers[:k] * r^k; products stay below p^2 < 2^44.
+    powers, k = np.ones(n, dtype=np.int64), 1
+    while k < n:
+        powers[k : 2 * k] = powers[: min(k, n - k)] * pow(r, k, p) % p
+        k *= 2
+    table = np.zeros(p, dtype=np.int32)
+    table[powers] = np.arange(n, dtype=np.int32)
+    return table
+
+
+def _discrete_log(p: int):
+    """dlog(g, t): the smallest e with g^e == t mod p, or None, as the brute
+    force gives it (g is reduced mod p, t is not), from one log table of the
+    odd prime p <= MAX_DLOG_PRIME; the cap is checked before the table."""
+    if p > MAX_DLOG_PRIME:
+        raise ResourceError(f"discrete-log modulus {p} exceeds the cap {MAX_DLOG_PRIME}")
+    table, n = _log_table(p), p - 1
+
+    def dlog(g: int, t: int) -> int | None:
+        g %= p
+        if t == 1 or g == 0 or not 1 < t < p:
+            return 0 if t == 1 else 1 if g == t == 0 else None
+        # e * L[g] == L[t] mod n is solvable iff d = gcd(L[g], n) divides L[t].
+        log_g, log_t = int(table[g]), int(table[t])
+        d = math.gcd(log_g, n)
+        return None if log_t % d else log_t // d * pow(log_g // d, -1, n // d) % (n // d)
+
+    return dlog
 
 
 def crack_classic_dh(p: int, g: int, share_a: int, share_b: int) -> int:
-    """Recover the classic-exchange key from its public view (O(p) work).
+    """Recover the classic-exchange key from its public view (one O(p) log table).
 
-    (p, g) must be valid `DhParams`, checked before any work."""
+    (p, g) must be valid `DhParams`, then p <= MAX_DLOG_PRIME, both checked first."""
     DhParams(p, g)
-    a = brute_force_dlog(p, g, share_a)
+    a = _discrete_log(p)(g, share_a)
     if a is None:
         raise DomainError("share is not a power of the announced base")
     return modexp(share_b, a, p)
@@ -416,23 +448,18 @@ def crack_classic_dh(p: int, g: int, share_a: int, share_b: int) -> int:
 def pq_candidate_keys(p: int, share_a: int, share_b: int, width: int) -> list[int]:
     """Every key consistent with the public view of a `pq_dh` run.
 
-    Without the tweaked generator, Eve must try all 2**width candidates and
-    solve a discrete log for each; different candidates generally produce
-    different keys, so the public view alone does not determine the key.
-    p must be an odd prime and 1 <= width <= MAX_TELEPORT_BITS, the widest
-    window `pq_dh` admits; both are checked before any work.
+    Without the tweaked generator, Eve must try every candidate below
+    2**width, which matters only mod p: one discrete log per residue in
+    [1, min(2**width, p)), from one O(p) log table. Different candidates
+    generally produce different keys, so the public view alone does not
+    determine the key. p must be an odd prime, 1 <= width <= MAX_TELEPORT_BITS
+    (the widest window `pq_dh` admits) and p <= MAX_DLOG_PRIME, all checked first.
     """
     _check_modulus(p)
     if width < 1:
         raise DomainError(f"need width >= 1, got {width}")
     if width > MAX_TELEPORT_BITS:
         raise ResourceError(f"width {width} exceeds the teleport cap {MAX_TELEPORT_BITS}")
-    keys = set()
-    for g1 in range(1, 1 << width):
-        if g1 % p == 0:
-            continue
-        e = brute_force_dlog(p, g1 % p, share_a)
-        if e is None:
-            continue
-        keys.add(modexp(share_b, e, p))
-    return sorted(keys)
+    dlog = _discrete_log(p)
+    logs = (dlog(g1, share_a) for g1 in range(1, min(1 << width, p)))
+    return sorted({modexp(share_b, e, p) for e in logs if e is not None})

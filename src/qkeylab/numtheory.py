@@ -110,12 +110,15 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
 
 
 def random_below(bound: int, rng: np.random.Generator) -> int:
-    """Uniform integer in [0, bound), byte-sampled so bound may exceed 64 bits.
+    """Uniform integer in [0, bound), byte-sampled so bound may exceed 64 bits
+    (up to MAX_PRIME_BITS bits, checked before any draw).
 
     Adds 8 bytes of headroom, keeping the modulo bias below 2^-64.
     """
     if bound < 1:
         raise DomainError(f"need a positive bound, got {bound}")
+    if bound.bit_length() > MAX_PRIME_BITS:
+        raise ResourceError(f"bound of {bound.bit_length()} bits exceeds the cap {MAX_PRIME_BITS}")
     width = (bound.bit_length() + 7) // 8 + 8
     return int.from_bytes(rng.bytes(width), "big") % bound
 

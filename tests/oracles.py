@@ -24,6 +24,9 @@ compare the two bit for bit:
 * `step`: one validated coin-then-shift step of a complex walk state, the
   twin of the walk loop behind `qwalk.walk_distribution` and
   `qwalk.success_probability_trace`.
+* `brute_force_dlog`: the smallest discrete log by trying every exponent,
+  the oracle of the log table behind `keyexchange.crack_classic_dh` and
+  `keyexchange.pq_candidate_keys` (`keyexchange._discrete_log`).
 """
 from dataclasses import dataclass
 
@@ -143,3 +146,16 @@ def step(state: qwalk.CoinedWalkState, graph: qwalk.Graph) -> qwalk.CoinedWalkSt
     if amps.shape != (graph.n_arcs,):
         raise DomainError(f"state has {amps.shape} amplitudes, graph has {graph.n_arcs} arcs")
     return qwalk.CoinedWalkState(qwalk._apply_coin(amps, graph).take(graph.arc_reversal))
+
+
+# -- keyexchange -----------------------------------------------------------------
+
+
+def brute_force_dlog(p: int, g: int, target: int) -> int | None:
+    """Smallest e with g^e == target mod p, or None if target is outside <g>."""
+    value = 1
+    for e in range(p - 1):
+        if value == target:
+            return e
+        value = value * g % p
+    return None

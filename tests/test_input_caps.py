@@ -2,7 +2,9 @@
 integers and flip indices, bit conversions, slot schedules, walk graphs and key grids,
 searches, traces and sweeps, the desk-scale eavesdropper's moduli and widths, and the
 stream-position checks on receiver geometry and stored indices."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,23 @@ class RefusingGenerator:
         return refuse
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_cap_is_named_in_the_readme():
+    caps = [
+        f"{path.stem}.{target.id}"
+        for path in sorted((ROOT / "src" / "qkeylab").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    ]
+    assert "keyexchange.MAX_DLOG_PRIME" in caps
+    readme = (ROOT / "README.md").read_text()
+    assert [cap for cap in caps if f"`{cap}`" not in readme] == []
+
+
 def test_caps_admit_every_shipped_config():
     # p_bits 48, length_bits 128, span 2048 and 100 shots per rung are the
     # golden, acceptance and benchmark sizes.
@@ -51,6 +70,15 @@ def test_caps_admit_every_shipped_config():
 def test_random_prime_cap_fires_before_drawing():
     with pytest.raises(ResourceError, match="cap"):
         numtheory.random_prime(numtheory.MAX_PRIME_BITS + 1, RefusingGenerator())
+
+
+def test_random_bound_cap_fires_before_drawing():
+    too_wide = 1 << numtheory.MAX_PRIME_BITS  # MAX_PRIME_BITS + 1 bits
+    with pytest.raises(ResourceError, match="cap"):
+        numtheory.random_below(too_wide, RefusingGenerator())
+    with pytest.raises(ResourceError, match="cap"):
+        keyexchange.random_secret(too_wide + 1, RefusingGenerator())  # p - 1 has the same width
+    assert 0 <= numtheory.random_below(too_wide - 1, np.random.default_rng(1)) < too_wide - 1
 
 
 def test_sync_shot_cap_fires_before_drawing():
@@ -117,14 +145,18 @@ def test_walk_agreement_window_past_the_teleport_cap_fires_before_the_sync(monke
 
 def _refuse_dlog(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a discrete log started before the argument checks")
+        raise AssertionError("a log table was built before the argument checks")
 
-    monkeypatch.setattr(keyexchange, "brute_force_dlog", refuse)
+    monkeypatch.setattr(keyexchange, "_log_table", refuse)
 
+
+# Primes past the log-table cap: the first one after 2^22, and 2^61 - 1.
+PAST_THE_DLOG_CAP = [4194319, 2**61 - 1]
 
 # (p, share_a, share_b, width, error): moduli that are no odd prime or pass
-# the modulus cap, and widths outside 1..MAX_TELEPORT_BITS.
+# the modulus or log-table cap, and widths outside 1..MAX_TELEPORT_BITS.
 BAD_CANDIDATE_ARGS = [
+    *(pytest.param(p, 4, 4, 40, ResourceError, id=f"dlog-cap-{p}") for p in PAST_THE_DLOG_CAP),
     (0, 1, 1, 4, DomainError),
     (1, 1, 1, 4, DomainError),
     (4, 1, 1, 4, DomainError),
@@ -154,12 +186,26 @@ def test_candidate_keys_check_their_arguments_before_any_discrete_log(
         (23, 0, DomainError),
         (23, 23, DomainError),
         pytest.param((1 << numtheory.MAX_PRIME_BITS) + 1, 3, ResourceError, id="p-past-the-cap"),
+        *(pytest.param(p, 3, ResourceError, id=f"dlog-cap-{p}") for p in PAST_THE_DLOG_CAP),
     ],
 )
 def test_classic_crack_checks_its_parameters_before_any_discrete_log(p, g, error, monkeypatch):
     _refuse_dlog(monkeypatch)
     with pytest.raises(error):
         keyexchange.crack_classic_dh(p, g, 1, 1)
+
+
+def test_discrete_log_cap_admits_its_largest_prime():
+    p = 4194301  # the last prime below 2^22
+    assert p <= keyexchange.MAX_DLOG_PRIME < PAST_THE_DLOG_CAP[0]
+    assert numtheory.is_probable_prime(p) and numtheory.is_probable_prime(PAST_THE_DLOG_CAP[0])
+    assert keyexchange.crack_classic_dh(p, 2, pow(2, 12345, p), 7) == pow(7, 12345, p)
+    assert len(keyexchange.pq_candidate_keys(p, 5, 7, 8)) > 1
+
+
+def test_candidate_keys_past_every_residue_equal_the_narrowest_covering_width():
+    # 2^5 - 1 >= 22 already covers every residue mod 23, so widening adds no candidate.
+    assert keyexchange.pq_candidate_keys(23, 4, 4, 40) == keyexchange.pq_candidate_keys(23, 4, 4, 5)
 
 
 def _refuse_primality_tests(monkeypatch):

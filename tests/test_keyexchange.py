@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkeylab import keyexchange
 from qkeylab.errors import DomainError, LifecycleError
 from qkeylab.clocksync import Clock
 from qkeylab.broadcast import BroadcastSource, KeyWindow, Receiver, bits_to_hex
 from qkeylab.keyexchange import (
     DhParams,
     PartySecret,
-    brute_force_dlog,
     classic_dh,
     crack_classic_dh,
     flip_bit,
@@ -19,6 +19,8 @@ from qkeylab.keyexchange import (
     random_prime,
 )
 from qkeylab.transcript import int_payload
+from qkeylab.numtheory import is_probable_prime
+from oracles import brute_force_dlog
 
 
 def modexp_oracle(base, exponent, modulus):
@@ -288,6 +290,70 @@ class TestDeskScaleEve:
         candidates = pq_candidate_keys(p, result.share_alice, result.share_bob, width)
         assert true_key in candidates
         assert len(candidates) > 1
+
+
+SMALL_PRIMES = [p for p in range(3, 60) if is_probable_prime(p)]
+
+
+def candidate_keys_over_every_generator(p, share_a, share_b, width):
+    """The candidate loop over all 2**width generators, one brute-force log each."""
+    keys = set()
+    for g1 in range(1, 1 << width):
+        if g1 % p == 0:
+            continue
+        e = brute_force_dlog(p, g1 % p, share_a)
+        if e is None:
+            continue
+        keys.add(modexp(share_b, e, p))
+    return sorted(keys)
+
+
+class TestLogTable:
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_equals_the_brute_force_on_a_full_grid(self, p):
+        # g spans three periods (g = 0, p, 2p are all 0 mod p); t runs from
+        # negative values through 0 and 1 to past p.
+        dlog = keyexchange._discrete_log(p)
+        for g in range(-p, 2 * p + 1):
+            for t in range(-3, 2 * p + 3):
+                assert dlog(g, t) == brute_force_dlog(p, g, t), (g, t)
+
+    @pytest.mark.parametrize("p", [257, 7919, 65537])
+    def test_equals_the_brute_force_at_larger_primes(self, p):
+        dlog = keyexchange._discrete_log(p)
+        targets = [-1, 0, 1, 2, 3, p // 2, p - 2, p - 1, p, p + 1]
+        for g in [*range(12), p - 2, p - 1, p, p + 3]:
+            for t in targets:
+                assert dlog(g, t) == brute_force_dlog(p, g, t), (g, t)
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES[:8])
+    def test_classic_crack_equals_the_brute_force(self, p):
+        for g in range(1, p):
+            for share_a in range(-2, p + 3):
+                e = brute_force_dlog(p, g, share_a)
+                for share_b in (0, 2, p - 1, p + 3):
+                    if e is None:
+                        with pytest.raises(DomainError, match="not a power"):
+                            crack_classic_dh(p, g, share_a, share_b)
+                    else:
+                        assert crack_classic_dh(p, g, share_a, share_b) == modexp(share_b, e, p)
+
+    @pytest.mark.parametrize(
+        "seed,p,width", [(6, 23, 5), (7, 101, 8), (8, 11, 6), (9, 257, 10), (10, 23, 3)]
+    )
+    def test_candidates_equal_the_loop_over_every_generator(self, seed, p, width):
+        rng = np.random.default_rng(seed)
+        source, alice, bob = make_link()
+        a = PartySecret(int(rng.integers(1, p)))
+        b = PartySecret(int(rng.integers(1, p)))
+        result = pq_dh(source, alice, bob, KeyWindow(2e9, width), p, a, b, rng)
+        for share_a in (result.share_alice, 0, 1, p - 1, p, p + 3, -1):
+            for share_b in (result.share_bob, 0, p + 3):
+                expected = candidate_keys_over_every_generator(p, share_a, share_b, width)
+                assert pq_candidate_keys(p, share_a, share_b, width) == expected
+        assert result.key_alice.reveal() in pq_candidate_keys(
+            p, result.share_alice, result.share_bob, width
+        )
 
 
 class TestPrivateExchangeEve:
