@@ -4,20 +4,21 @@ One parity path: parity scans, the parity-stream generator and coin-flip
 trials need only a_p mod 2, which costs O(log p) per prime: p + 1 is even, so
 a_p is even exactly when #E(F_p) is, that is, when E has a point of order 2
 over F_p, a point (r, 0) with r a root of x^3 + ax + b mod p. `_trace_is_even`
-decides that from x^p mod (f, p) and the quadratic character of the cubic's
-discriminant, for one prime (an int) or an array of primes at once. Exact
-counts #E(F_p) only give the values a_p = p + 1 - #E(F_p) of the coefficient
-sequence a(1..m): `_affine_counts`, the one point-count kernel, takes them
-for every good odd prime <= m at once, in blocks of consecutive primes that
-share one quadratic-residue table pass. The remaining pieces are the
-splitting-degree classification of the cubic over the rationals,
-parity-density scans, and a deterministic parity-stream generator whose zero
-frequency tends to 2/3.
+reads the root count mod p off the trace of Frobenius on F_p[x]/(f), from
+x^p mod (f, p), for one prime (an int) or an array of primes at once; its
+products are summed before one reduction, below 4p^2, in the narrowest exact
+dtype, so any good prime is exact. Exact counts #E(F_p) only give the
+values a_p = p + 1 - #E(F_p) of the coefficient sequence a(1..m):
+`_affine_counts`, the one point-count kernel, takes them for every good odd
+prime <= m at once, in blocks of consecutive primes that share one
+quadratic-residue table pass. The remaining pieces are the splitting-degree
+classification of the cubic over the rationals, parity-density scans, and a
+deterministic parity-stream generator whose zero frequency tends to 2/3.
 
 Discriminant sign convention: `Curve.discriminant` is 4a^3 + 27b^2 (used for
 good/bad prime tests and the commitment interval in the coin-flip protocol);
 the discriminant of the cubic polynomial itself is its negative, and that is
-what the perfect-square test in `splitting_degree` and the root test use.
+what the perfect-square test in `splitting_degree` uses.
 """
 from __future__ import annotations
 
@@ -249,43 +250,42 @@ def _residues(n: int, primes):
 
 
 def _trace_is_even(curve: Curve, primes):
-    """Whether a_p is even at each prime of `primes`, all good and in (3, 3.03e9):
-    a bool for an int, a bool array for an int64 array.
+    """Whether a_p is even at each good prime of `primes`: a bool for an int,
+    a bool array for an array.
 
-    a_p is even iff f = x^3 + ax + b has a root mod p. With r roots in F_p,
-    x^p = x in F_p[x]/(f) iff r = 3, and r = 1 iff the cubic's discriminant
-    -(4a^3 + 27b^2) is a non-residue (Frobenius acts on the roots as an odd
-    permutation, a transposition); otherwise r = 0. So the root test is
-    gcd(x^p - x, f) != 1 without a gcd. One square-and-multiply pass over the
-    bits of max(primes), selecting with c + bit * (s - c), computes x^p
-    (degree <= 2 residues c0 + c1 x + c2 x^2) and disc^((p-1)/2) for every
-    prime at once. Every product of two residues is reduced before it is
-    added, so int64 is exact while p^2 < 2^63.
+    a_p is even iff f = x^3 + ax + b has a root mod p, or p = 2 (a_2 = 0: in
+    characteristic 2 each x has one y). One square-and-multiply pass over the
+    bits of max(primes), selecting with c + bit * (s - c), computes x^p =
+    c0 + c1 x + c2 x^2 in F_p[x]/(f) for every prime at once. In the basis
+    1, x, x^2, Frobenius g -> g^p has trace T = 1 + c1 + [x^2](x^p)^2, and
+    T = r mod p for the number r in {0, 1, 3} of roots (Berlekamp's Q-matrix),
+    so T != 0 decides p > 3; at p = 3, r = 3 shows as x^p = x. Products of
+    residues are summed, then reduced once, so every value stays below 4p^2.
+    Any good prime is exact: an int runs on Python ints, and an array (primes
+    below 2^32, as `_residues` needs) in the narrowest dtype that holds
+    4 max(p)^2: int32 up to p = 23 167, int64 up to about 1.5e9, else object.
     """
-    p = primes
-    a, b = _residues(curve.a, p), _residues(curve.b, p)
-    disc = _residues(-curve.discriminant, p)
-    nb, disc1 = -b % p, disc - 1
+    p = top = primes
+    na, nb = -_residues(curve.a, p) % p, -_residues(curve.b, p) % p
+    if isinstance(p, np.ndarray):
+        top = int(p.max(initial=0))
+        bound = 4 * top**2
+        dtype = np.int32 if bound < 1 << 31 else np.int64 if bound < 1 << 63 else object
+        p, na, nb = p.astype(dtype), na.astype(dtype), nb.astype(dtype)
     c0, c1, c2 = p * 0 + 1, p * 0, p * 0
-    legendre, bit = c0, c1
-    for i in range(int(np.asarray(p).max(initial=0)).bit_length() - 1, -1, -1):
-        # disc^((p-1)/2): bit i of (p-1)/2 is bit i+1 of p, the previous `bit`.
-        legendre = legendre * legendre % p * (1 + bit * disc1) % p
-        # Square, then fold x^4 = -ax^2 - bx and x^3 = -ax - b back in.
-        d3 = 2 * (c1 * c2 % p) % p
-        d4 = c2 * c2 % p
-        new2 = (2 * (c0 * c2 % p) + c1 * c1 % p - a * d4 % p) % p
-        new1 = (2 * (c0 * c1 % p) - b * d4 % p - a * d3 % p) % p
-        c0, c1, c2 = (c0 * c0 % p - b * d3 % p) % p, new1, new2
-        # Multiply by x where bit i of p is set: x^3 again folds to -ax - b.
-        bit = (p >> i) & 1
+    for i in range(top.bit_length() - 1, -1, -1):
+        # Square, folding x^4 = -ax^2 - bx and x^3 = -ax - b back in.
+        d3, d4 = 2 * c1 * c2 % p, c2 * c2 % p
         c0, c1, c2 = (
-            c0 + bit * (nb * c2 % p - c0),
-            c1 + bit * ((c0 - a * c2 % p) % p - c1),
-            c2 + bit * (c1 - c2),
+            (c0 * c0 + nb * d3) % p,
+            (2 * c0 * c1 + nb * d4 + na * d3) % p,
+            (2 * c0 * c2 + c1 * c1 + na * d4) % p,
         )
-    three_roots = (c0 == 0) & (c1 == 1) & (c2 == 0)
-    return three_roots | (legendre == p - 1)
+        # Multiply by x where bit i of p is set: x^3 again folds to -ax - b.
+        bit, s0, s1 = (p >> i) & 1, nb * c2 % p, (c0 + na * c2) % p
+        c0, c1, c2 = c0 + bit * (s0 - c0), c1 + bit * (s1 - c1), c2 + bit * (c1 - c2)
+    trace = (1 + c1 + 2 * c0 * c2 + c1 * c1 + na * (c2 * c2 % p)) % p
+    return (trace != 0) | (c0 == 0) & (c1 == 1) & (c2 == 0) | (p == 2)
 
 
 def _good_primes(curve: Curve, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,8 +35,11 @@ def good_primes(curve, hi, lo=5):
 
 
 def python_trace_is_even(a, b, p):
-    """The same root test in Python ints: x^p in F_p[x]/(x^3 + ax + b) by
-    right-to-left square-and-multiply, plus Euler's criterion."""
+    """An independent root test in Python ints: x^p in F_p[x]/(x^3 + ax + b)
+    by right-to-left square-and-multiply, where x^p = x means three roots,
+    plus Euler's criterion on the cubic's discriminant, a non-residue exactly
+    when there is one root. The kernel reads the root count off the trace of
+    Frobenius instead, so the two agree only if both algebras are right."""
 
     def mul(u, v):
         d = [0] * 5
@@ -127,13 +130,50 @@ class TestOnePrimeOrMany:
 
     def test_int_path_at_two_and_three(self):
         # Below the scans' range the root test still gives the parity of the
-        # coefficient a(2) = 0 and of the residue-table a(3) at good primes.
+        # coefficient a(2) = 0 and of the residue-table a(3) at good primes,
+        # for one int prime and for the array of the good ones among {2, 3}.
         for a in range(-6, 7):
             for b in range(-6, 7):
-                for p in (2, 3):
-                    if (4 * a**3 + 27 * b**2) % p:  # good at p, so nonsingular
-                        even = prime_coefficient(Curve(a, b), p) & 1 == 0
-                        assert _trace_is_even(Curve(a, b), p) == even, (a, b, p)
+                good = [p for p in (2, 3) if (4 * a**3 + 27 * b**2) % p]
+                if not good:  # singular
+                    continue
+                curve = Curve(a, b)
+                even = [prime_coefficient(curve, p) & 1 == 0 for p in good]
+                assert [_trace_is_even(curve, p) for p in good] == even, (a, b)
+                assert _trace_is_even(curve, np.array(good, dtype=np.int64)).tolist() == even, (a, b)
+
+
+class TestDtypeSwitches:
+    """The array path picks int32, int64 or Python ints by 4 max(p)^2; each
+    side of each switch, alone and in one array, against the Python twin."""
+
+    CURVES = (Curve(0, -2), Curve(-3, 1), Curve(-1, 0), *random_curves(6, seed=7))
+
+    @pytest.mark.parametrize(
+        "below, above, log2_limit",
+        [(23_167, 23_173, 31), (1_073_741_789, 1_073_741_827, 62), (1_518_500_213, 1_518_500_279, 63)],
+        ids=["int32-int64", "2^30", "int64-object"],
+    )
+    def test_each_side_alone_and_both(self, below, above, log2_limit):
+        assert 4 * below**2 < 2**log2_limit <= 4 * above**2
+        assert any(abs(c.a) > 2**63 or abs(c.b) > 2**63 for c in self.CURVES)
+        for curve in self.CURVES:
+            good = [p for p in (below, above) if curve.discriminant % p]
+            expected = [python_trace_is_even(curve.a, curve.b, p) for p in good]
+            alone = [_trace_is_even(curve, np.array([p], dtype=np.int64)).item() for p in good]
+            both = _trace_is_even(curve, np.array(good, dtype=np.int64)).tolist()
+            assert alone == expected and both == expected, curve
+
+    def test_every_prime_up_to_twice_the_int32_switch(self):
+        # Typical sums reach about 1.5 p^2, past 2^31 here: int32 would wrap.
+        for curve in self.CURVES[::2]:
+            primes = good_primes(curve, 46_000, lo=23_000)
+            expected = [python_trace_is_even(curve.a, curve.b, p) for p in primes.tolist()]
+            assert _trace_is_even(curve, primes).tolist() == expected, curve
+
+    def test_empty_array(self):
+        even = _trace_is_even(Curve(0, -2), np.array([], dtype=np.int64))
+        assert even.dtype == bool and even.shape == (0,)
 
 
 class TestNearInt64Limit:
