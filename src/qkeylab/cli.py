@@ -594,7 +594,7 @@ SCENARIOS: dict = {
     "pqdh": (
         {
             "sessions": FieldSpec(int, 5, "independent protocol sessions", 1),
-            "p_bits": FieldSpec(int, 48, "prime modulus size", 2, MAX_PRIME_BITS),
+            "p_bits": FieldSpec(int, 48, "prime modulus size", 3, MAX_PRIME_BITS),
             **_LINK_FIELDS,
         },
         _run_pqdh,

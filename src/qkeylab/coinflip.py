@@ -45,9 +45,8 @@ MAX_COMMITMENT = MAX_ZETA_LENGTH  # the commitment is a coefficient sequence a(1
 class Trial:
     p: int
     p_prime: int
-    parities: tuple[int, int] | None
+    parities: tuple[int, int] | None  # None: p or p' divides the discriminant, a retry
     verdict: str
-    bad_prime: bool = False
 
 
 @dataclass
@@ -156,7 +155,7 @@ def _judge(curve: Curve, p: int, p_prime: int) -> Trial:
     else (1, 0) is heads, (0, 1) is tails and any other parity pair a retry,
     where a parity is the curve's trace parity at that prime."""
     if curve.discriminant % p == 0 or curve.discriminant % p_prime == 0:
-        return Trial(p, p_prime, None, RETRY, bad_prime=True)
+        return Trial(p, p_prime, None, RETRY)
     parities = (int(not _trace_is_even(curve, p)), int(not _trace_is_even(curve, p_prime)))
     return Trial(p, p_prime, parities, {(1, 0): HEADS, (0, 1): TAILS}.get(parities, RETRY))
 
@@ -199,8 +198,6 @@ def bob_verify(session: CoinFlipSession) -> VerifyResult:
         if error := _challenge_error(session.m, trial.p, trial.p_prime):
             return VerifyResult(False, f"trial {i}: {error}", i)
         expected = _judge(curve, trial.p, trial.p_prime)
-        if expected.bad_prime != trial.bad_prime:
-            return VerifyResult(False, f"trial {i}: bad-prime flag mismatch", i)
         if expected != trial:
             return VerifyResult(False, f"trial {i}: parity or verdict mismatch", i)
     return VerifyResult(True)

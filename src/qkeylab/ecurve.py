@@ -7,13 +7,14 @@ over F_p, a point (r, 0) with r a root of x^3 + ax + b mod p. `_trace_is_even`
 reads the root count mod p off the trace of Frobenius on F_p[x]/(f), from
 x^p mod (f, p), for one prime (an int) or an array of primes at once; its
 products are summed before one reduction, below 4p^2, in the narrowest exact
-dtype, so any good prime is exact. Exact counts #E(F_p) only give the
-values a_p = p + 1 - #E(F_p) of the coefficient sequence a(1..m):
-`_affine_counts`, the one point-count kernel, takes them for every good odd
-prime <= m at once, in blocks of consecutive primes that share one
-quadratic-residue table pass. The remaining pieces are the splitting-degree
-classification of the cubic over the rationals, parity-density scans, and a
-deterministic parity-stream generator whose zero frequency tends to 2/3.
+dtype, so any good prime is exact. Only the coefficients a(p) of the
+sequence a(1..m) need exact counts: `_affine_counts`, the one point-count
+kernel, counts the affine points of the cubic at every odd prime <= m at
+once, in blocks of consecutive primes that share one quadratic-residue table
+pass, and a(p) = p - count at good and bad primes alike. The remaining
+pieces are the splitting-degree classification of the cubic over the
+rationals, parity-density scans, and a deterministic parity-stream generator
+whose zero frequency tends to 2/3.
 
 Discriminant sign convention: `Curve.discriminant` is 4a^3 + 27b^2 (used for
 good/bad prime tests and the commitment interval in the coin-flip protocol);
@@ -120,27 +121,17 @@ class ZetaCoeffs:
             raise DomainError("a(1) must be 1")
 
 
-def _bad_prime_coefficient(curve: Curve, p: int) -> int:
-    # Degenerate reduction at p > 3. The singular point (x0, 0) solves
-    # 3x0^2 + a = 0 and x0^3 + ax0 + b = 0, so x0 = -3b / (2a). If p divides a,
-    # it divides b too (p divides 4a^3 + 27b^2): a cusp at x0 = 0, coefficient
-    # 0. Otherwise a node, +-1 as the tangent slopes at the node, the square
-    # roots of 3x0, lie in F_p or not.
-    if p <= 3 or curve.a % p == 0:
-        return 0
-    x0 = -3 * curve.b * pow(2 * curve.a, -1, p) % p
-    return 1 if pow(3 * x0, (p - 1) // 2, p) == 1 else -1
-
-
 def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
     """a(1..m): a(p) from the curve, prime powers by the standard recursion
     a(p^k) = a(p) a(p^(k-1)) - p a(p^(k-2)) at good primes (a(p)^k at bad
     ones), multiplicativity everywhere else.
 
-    Every a(p) comes from one blocked residue-table pass over all primes
-    <= m (`_affine_counts`), the reduction type at bad primes, and 0 at a
-    good 2. Primes above sqrt(m) divide each n <= m at most once, so one
-    array product per cofactor places them.
+    Every a(p) but a(2) = 0 is p minus the affine count of one blocked
+    residue-table pass over the odd primes <= m (`_affine_counts`). At a bad
+    prime the singular cubic has p, p - 1 or p + 1 affine points (cusp,
+    split or non-split node; Silverman, GTM 106, Prop. III.2.5), so that is
+    the reduction type 0, 1 or -1. Primes above sqrt(m) divide each n <= m
+    at most once, so one array product per cofactor places them.
 
     m is capped at `MAX_ZETA_LENGTH` = 2^16. Each sequence is computed once
     per process and shared: `values` is a read-only array (copy it to change
@@ -155,8 +146,9 @@ def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
 
 
 def _affine_counts(curve: Curve, primes: np.ndarray) -> np.ndarray:
-    """#E(F_p) - 1, the affine points, at each good odd prime of the int64
-    array `primes` (each p <= MAX_ZETA_LENGTH), from residue tables.
+    """The affine points of y^2 = x^3 + ax + b (#E(F_p) - 1 at a good prime)
+    at each odd prime, good or bad, of the int64 array `primes` (each
+    p <= MAX_ZETA_LENGTH), from residue tables.
 
     Runs of consecutive primes whose sum is at most `_COUNT_BLOCK` share one
     table of (p, x) pairs, x = 0..p-1 for each p in turn from offset `start`,
@@ -198,11 +190,8 @@ def _zeta_values(a: int, b: int, m: int) -> np.ndarray:
     curve = Curve(a, b)
     primes = primes_up_to(m)
     bad = _residues(curve.discriminant, primes) == 0
-    ap = np.zeros(len(primes), dtype=np.int64)  # a good 2 keeps 0: 3 points over F_2
-    counted = ~bad & (primes > 2)
-    ap[counted] = primes[counted] - _affine_counts(curve, primes[counted])
-    for i in np.flatnonzero(bad).tolist():
-        ap[i] = _bad_prime_coefficient(curve, int(primes[i]))
+    ap = np.zeros(len(primes), dtype=np.int64)  # a(2) = 0: one y for each x over F_2
+    ap[1:] = primes[1:] - _affine_counts(curve, primes[1:])
     values = np.ones(m + 1, dtype=np.int64)
     root = math.isqrt(m)
     n_small = int(np.searchsorted(primes, root, side="right"))

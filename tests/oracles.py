@@ -7,11 +7,15 @@ compare the two bit for bit:
 * `bit_at`: one stream bit from one SHA-256 block, the twin of
   `broadcast.bits_range`.
 * `count_points`, `frobenius_trace` and `prime_coefficient`: #E(F_p), a_p
-  and the coefficient a(p) of one prime from one O(p) residue table. The
-  table is the twin of the blocked `ecurve._affine_counts`; the trace parity
-  is the oracle of `ecurve._trace_is_even` (and so of the parity scans, the
-  parity stream and the coin-flip trials); `prime_coefficient` is the
-  per-prime twin of `ecurve._zeta_values`.
+  and the coefficient a(p) of one prime from one O(p) residue table, at
+  good and bad primes alike. The table is the twin of the blocked
+  `ecurve._affine_counts`; the trace parity is the oracle of
+  `ecurve._trace_is_even` (and so of the parity scans, the parity stream
+  and the coin-flip trials); `prime_coefficient` is the per-prime twin of
+  `ecurve._zeta_values`. The independent checks of the table are in
+  `tests/test_ecurve.py`: `brute_count` enumerates every pair (x, y), and
+  `scanned_bad_prime_coefficient` reads the reduction type off the
+  singular point.
 * `measurement_probabilities` and `measure_qubit`: one state's Born weights
   and one sampled collapse, through `qstate._p1` and `qstate._collapse`.
   They read out the chained rung circuit that guards the clock-sync ladder
@@ -52,10 +56,10 @@ def bit_at(source: broadcast.BroadcastSource, index: int) -> int:
 
 
 def count_points(curve: ecurve.Curve, p: int) -> int:
-    """#E(F_p) including the point at infinity, for an odd prime p coprime to
-    the discriminant. Each x value contributes 2 points if f(x) is a nonzero
-    square, 1 if it is zero, 0 otherwise; the is-a-square table is built from
-    one squaring pass."""
+    """#E(F_p) including the point at infinity, for an odd prime p (at a bad
+    prime, with the singular point). Each x value contributes 2 points if
+    f(x) is a nonzero square, 1 if it is zero, 0 otherwise; the is-a-square
+    table is built from one squaring pass."""
     x = np.arange(p, dtype=np.int64)
     xx = x * x
     xx %= p
@@ -76,11 +80,9 @@ def frobenius_trace(curve: ecurve.Curve, p: int) -> int:
 
 
 def prime_coefficient(curve: ecurve.Curve, p: int) -> int:
-    """a(p) for a prime p: the reduction type at a bad prime, 0 at a good 2,
-    otherwise the trace from the point count."""
-    if curve.discriminant % p == 0:
-        return ecurve._bad_prime_coefficient(curve, p)
-    if p == 2:  # squaring is the identity on F_2: one y for each x, 3 points
+    """a(p) for a prime p: 0 at 2, otherwise p + 1 - #E(F_p) from the point
+    count, which is the reduction type 0, 1 or -1 at a bad prime."""
+    if p == 2:  # squaring is the identity on F_2: one y for each x
         return 0
     return frobenius_trace(curve, p)
 

@@ -130,6 +130,16 @@ class TestMain:
         assert code == 1
         assert "result = fail" in capsys.readouterr().out
 
+    def test_protocol_failure_exit_one(self, monkeypatch, capsys):
+        # Seed 3 at 3-bit primes draws a generator flip that lands on 0 mod p;
+        # with no flip retries allowed, the session fails.
+        monkeypatch.setattr(keyexchange, "_MAX_FLIP_RETRIES", 0)
+        code = main(["pqdh", "--sessions", "1", "--p-bits", "3", "--master-seed", "3"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "" and err.startswith("protocol failure: no usable flipped generator")
+        assert "Traceback" not in err
+
     def test_master_seed_flag_changes_streams(self, capsys):
         main(["teleport-demo", "--trials", "20", "--master-seed", "1"])
         first = capsys.readouterr().out
@@ -438,6 +448,17 @@ class TestInputContract:
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_two_bit_pqdh_exits_2_before_any_session(self, monkeypatch, capsys):
+        # 3 is the only 2-bit prime, and every one-bit flip of a generator in
+        # {1, 2} gives 0 or 3, so a 2-bit session could never agree.
+        def refuse(*args):
+            raise AssertionError("a session started before the check")
+
+        monkeypatch.setattr(cli, "_pqdh_session", refuse)
+        assert main(["pqdh", "--p-bits", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: p_bits must be >= 3")
 
     def test_sync_window_too_small_for_its_rungs_exits_2(self, monkeypatch, capsys):
         def refuse(*args):

@@ -110,8 +110,7 @@ class TestTrials:
         assert session.curve.discriminant == 1327
         assert session.m < 1327
         trial = run_trial(session, 1327, 1361)
-        assert trial.verdict == RETRY and trial.bad_prime
-        assert trial.parities is None
+        assert trial.verdict == RETRY and trial.parities is None
 
     def test_challenge_ordering_enforced(self):
         session = make_session(Curve(0, -2), 64, 3)
@@ -235,16 +234,18 @@ class TestVerification:
             (1572, 2447, True, "must be prime"),  # a bad-prime claim at a composite p
             (2447, 971, False, "m < p < p'"),  # swapped
             (509, 2447, False, "m < p < p'"),  # prime, but not beyond m = 512
+            (971, 2447, True, "parity or verdict mismatch"),  # a bad-prime claim at good primes
         ],
     )
     def test_malformed_challenge_rejected_with_index(self, p, p_prime, bad_prime, reason):
         # Seed 3 at B = 256 decides on its third trial; the second, at
-        # (971, 2447), is replaced by a challenge run_trial would refuse.
+        # (971, 2447), is replaced by a challenge run_trial would refuse, or
+        # by a bad-prime retry (no parities) where neither prime is bad.
         session = run_session(256, 3, 64, np.random.default_rng(3)).session
         assert (session.m, session.rounds[1].p, session.rounds[1].p_prime) == (512, 971, 2447)
         trial = session.rounds[1]
         session.rounds[1] = (
-            Trial(p, p_prime, None, RETRY, bad_prime=True)
+            Trial(p, p_prime, None, RETRY)
             if bad_prime
             else Trial(p, p_prime, trial.parities, trial.verdict)
         )

@@ -9,7 +9,6 @@ from qkeylab.numtheory import is_probable_prime, primes_up_to
 from qkeylab.ecurve import (
     _ZETA_MEMO,
     MAX_ZETA_LENGTH,
-    _bad_prime_coefficient,
     _zeta_values,
     Curve,
     parity_density_scan,
@@ -34,10 +33,10 @@ def brute_count(a, b, p):
 
 
 def scanned_bad_prime_coefficient(curve, p):
-    """The reduction-type coefficient at a bad prime p > 3 from an O(p) scan
-    for the singular point x0: 0 for a cusp (the other root -2x0 equals x0),
-    else the quadratic character of 3x0, whose square roots are the slopes
-    of the tangents at the node."""
+    """The reduction-type coefficient at an odd bad prime p from an O(p)
+    scan for the singular point x0: 0 for a cusp (the other root -2x0 equals
+    x0, as at p = 3), else the quadratic character of 3x0, whose square roots
+    are the slopes of the tangents at the node."""
     x = np.arange(p, dtype=np.int64)
     fx = ((x * x % p) * x + (curve.a % p) * x + curve.b % p) % p
     dfx = (3 * (x * x % p) + curve.a % p) % p
@@ -235,24 +234,27 @@ class TestZetaCoefficients:
                 assert ap == p + 1 - brute_count(curve.a, curve.b, p)
 
     def test_bad_prime_closed_form_matches_scan(self):
-        # Every nonsingular curve with |a|, |b| <= 30 and 300 seeded curves
-        # with |a|, |b| < 10^6, at each of their bad primes 3 < p <= 5000.
+        # The point count's a(p) = p - (affine points) at a bad prime is the
+        # reduction type read off the singular point. Every nonsingular curve
+        # with |a|, |b| <= 30 and 300 seeded curves with |a|, |b| < 10^6, at
+        # each of their bad primes 3 <= p <= 5000.
         rng = np.random.default_rng(11)
         small = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
         large = [tuple(int(v) for v in rng.integers(-10**6 + 1, 10**6, size=2)) for _ in range(300)]
-        primes = primes_up_to(5000)
-        primes = primes[primes > 3].tolist()
-        seen = set()
+        primes = primes_up_to(5000)[1:]
+        seen, seen_at_3 = set(), set()
         for a, b in small + large:
             disc = 4 * a**3 + 27 * b**2
             if disc == 0:
                 continue
             curve = Curve(a, b)
-            for p in (p for p in primes if disc % p == 0):
-                ap = _bad_prime_coefficient(curve, p)
+            bad = np.array([p for p in primes.tolist() if disc % p == 0], dtype=np.int64)
+            counted = bad - ecurve._affine_counts(curve, bad)
+            for p, ap in zip(bad.tolist(), counted.tolist()):
                 assert ap == scanned_bad_prime_coefficient(curve, p), (a, b, p)
-                seen.add(ap)
+                (seen_at_3 if p == 3 else seen).add(ap)
         assert seen == {-1, 0, 1}  # split nodes, non-split nodes and cusps
+        assert seen_at_3 == {0}
 
     def test_additive_reduction_when_p_divides_both(self):
         curve = Curve(5, 25)  # disc = 4*125 + 27*625 = 17375 = 5^3 * 139
@@ -304,12 +306,13 @@ def per_prime_zeta(curve, m):
 class TestBlockedCounts:
     @pytest.mark.parametrize("block", [1, 7, ecurve._COUNT_BLOCK])
     def test_affine_counts_equal_the_table_at_every_good_odd_prime(self, monkeypatch, block):
+        # Every odd prime, bad ones included, so bad primes share blocks
+        # with good ones.
         monkeypatch.setattr(ecurve, "_COUNT_BLOCK", block)
         primes = primes_up_to(3000)[1:]
         for curve in BLOCK_CURVES:
-            good = np.array([p for p in primes.tolist() if curve.discriminant % p], dtype=np.int64)
-            counts = ecurve._affine_counts(curve, good) + 1
-            expected = [count_points(curve, p) for p in good.tolist()]
+            counts = ecurve._affine_counts(curve, primes) + 1
+            expected = [count_points(curve, p) for p in primes.tolist()]
             assert counts.tolist() == expected, curve
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 120, 121, 168, 169, 512, 1728])
@@ -323,7 +326,7 @@ class TestBlockedCounts:
         # library's one point count. A bad prime above sqrt(m) still takes
         # its reduction type.
         values = _zeta_values.__wrapped__(5, 25, 1728)
-        assert values[138] == ecurve._bad_prime_coefficient(Curve(5, 25), 139)
+        assert values[138] == scanned_bad_prime_coefficient(Curve(5, 25), 139)
 
 
 class TestDensityScan:
