@@ -168,8 +168,8 @@ def _map_trials(trial, n_trials: int, config: ScenarioConfig):
 def _teleport_trial(i, rng, p):
     raw = rng.normal(size=2) + 1j * rng.normal(size=2)
     state = qstate.StateVector(1, raw / np.linalg.norm(raw))
-    record, _ = teleport.teleport_state(state, rng)
-    return record.fidelity, record.outcome.bit_z, record.outcome.bit_x
+    (bit_z, bit_x), replica = teleport.teleport_state(state, rng)
+    return qstate.fidelity(state, replica), bit_z, bit_x
 
 
 def _run_teleport_demo(config: ScenarioConfig, report: RunReport) -> None:

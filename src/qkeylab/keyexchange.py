@@ -167,11 +167,10 @@ class BroadcastRun:
         channel (they are useless without the entangled half); the value
         itself never appears in any record.
         """
-        received, runs = teleport_index(value, bit_width, self.rng)
+        received, outcomes = teleport_index(value, bit_width, self.rng)
         self.transcript.add(f"{step}.epr", "alice", "quantum", int_payload(bit_width))
-        for k, run in enumerate(runs):
-            bits = bytes((run.outcome.bit_z, run.outcome.bit_x))
-            self.transcript.add(f"{step}.outcome[{k}]", "alice", "public", bits)
+        for k, bits in enumerate(outcomes):
+            self.transcript.add(f"{step}.outcome[{k}]", "alice", "public", bits.tobytes())
         return received
 
     def read(
@@ -237,7 +236,6 @@ class PqDhResult:
     sync_error_ns: float
     window_retries: int
     flip_retries: int
-    start_index_alice: int
 
 
 def pq_dh(
@@ -325,7 +323,6 @@ def pq_dh(
         sync_error_ns=run.error_ns,
         window_retries=window_retries,
         flip_retries=flip_retries,
-        start_index_alice=reception_index(source, alice, t_alice),
     )
 
 

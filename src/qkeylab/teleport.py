@@ -16,8 +16,6 @@ integer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, InternalError, ResourceError
@@ -28,7 +26,6 @@ from .qstate import (
     _collapse,
     apply_gate,
     cnot,
-    fidelity,
     h,
     x,
     z,
@@ -38,24 +35,6 @@ from .qstate import (
 MAX_TELEPORT_BITS = 1 << 16
 
 _BELL_FRAME = (h(1), cnot(1, 2), cnot(0, 1), h(0))
-
-
-@dataclass(frozen=True)
-class BellOutcome:
-    """The two classical bits produced by a joint two-qubit measurement."""
-
-    bit_z: int
-    bit_x: int
-
-    def __post_init__(self):
-        if self.bit_z not in (0, 1) or self.bit_x not in (0, 1):
-            raise DomainError(f"outcome bits must be 0/1, got {self}")
-
-
-@dataclass(frozen=True)
-class TeleportTranscript:
-    outcome: BellOutcome
-    fidelity: float
 
 
 def _bell_frame(input_state: StateVector) -> StateVector:
@@ -97,18 +76,18 @@ def _measure(frames: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def teleport_state(
     input_state: StateVector, rng: np.random.Generator
-) -> tuple[TeleportTranscript, StateVector]:
-    """Teleport a single-qubit state; returns the run record and the replica."""
+) -> tuple[tuple[int, int], StateVector]:
+    """Teleport a single-qubit state; returns the outcome bits (bit_z, bit_x)
+    and the replica. The two bits are all a run publishes: they are what
+    `keyexchange.BroadcastRun.teleport` logs per qubit."""
     frames = _bell_frame(input_state).amplitudes[None]
     bit_z, bit_x, receivers = _measure(frames, rng.random((1, 2)))
-    receiver = StateVector(1, receivers[0])
-    outcome = BellOutcome(int(bit_z[0]), int(bit_x[0]))
-    return TeleportTranscript(outcome, fidelity(input_state, receiver)), receiver
+    return (int(bit_z[0]), int(bit_x[0])), StateVector(1, receivers[0])
 
 
 def teleport_index(
     n: int, bit_width: int, rng: np.random.Generator
-) -> tuple[int, list[TeleportTranscript]]:
+) -> tuple[int, np.ndarray]:
     """Convey the integer n exactly by teleporting bit_width basis-state qubits.
 
     Bit k of n (LSB-0) rides qubit k's run; all runs go as one (bit_width, 8)
@@ -120,7 +99,9 @@ def teleport_index(
     so the reassembled integer equals n whenever every single-qubit run has
     unit fidelity, which it does here. bit_width is capped at
     MAX_TELEPORT_BITS, checked before any draw.
-    Returns the received integer and the per-qubit run records, bit 0 first.
+    Returns the received integer and the (bit_width, 2) uint8 outcome array:
+    row k is bit k's (bit_z, bit_x), the pair `keyexchange.BroadcastRun.teleport`
+    publishes for that bit.
     """
     if bit_width < 1:
         raise DomainError(f"bit width must be >= 1, got {bit_width}")
@@ -129,20 +110,13 @@ def teleport_index(
     if not 0 <= n < (1 << bit_width):
         raise DomainError(f"{n} does not fit in {bit_width} bit(s)")
     draws = rng.random((bit_width, 3))
-    rows = np.arange(bit_width)
     n_bytes = np.frombuffer(n.to_bytes((bit_width + 7) // 8, "little"), np.uint8)
     bits = np.unpackbits(n_bytes, bitorder="little")[:bit_width]
     amps = np.zeros((bit_width, 8), dtype=complex)
-    amps[rows, bits] = 1.0
+    amps[np.arange(bit_width), bits] = 1.0
     for gate in _BELL_FRAME:
         amps = _apply(amps, gate)
     bit_z, bit_x, receiver = _measure(amps, draws)
     received, _, _ = _collapse(receiver, 0, draws[:, 2])
     value = int.from_bytes(np.packbits(received, bitorder="little").tobytes(), "little")
-    # |<bit|receiver>|^2 per run in the scalar arithmetic of `fidelity`: its
-    # vdot against a basis state adds only exact zeros to the kept amplitude.
-    records = [
-        TeleportTranscript(BellOutcome(int(bz), int(bx)), float(abs(amp) ** 2))
-        for bz, bx, amp in zip(bit_z.tolist(), bit_x.tolist(), receiver[rows, bits])
-    ]
-    return value, records
+    return value, np.stack((bit_z, bit_x), axis=1).astype(np.uint8)

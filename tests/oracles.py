@@ -23,8 +23,8 @@ compare the two bit for bit:
   `teleport.teleport_state` and `teleport.teleport_index`, and are the
   single-row reference of `_collapse` on a stack.
 * `teleport_branches`: all four measurement branches of a teleport run,
-  read off the Bell frame without sampling, the exact view of
-  `teleport.teleport_state`.
+  read off the Bell frame without sampling and keyed by the (bit_z, bit_x)
+  tuple that `teleport.teleport_state` returns, the exact view of that run.
 * `step`: one validated coin-then-shift step of a complex walk state, the
   twin of the walk loop behind `qwalk.walk_distribution` and
   `qwalk.success_probability_trace`.
@@ -39,7 +39,6 @@ import numpy as np
 from qkeylab import broadcast, ecurve, qstate, qwalk, teleport
 from qkeylab.errors import DomainError
 from qkeylab.qstate import StateVector
-from qkeylab.teleport import BellOutcome
 
 # -- broadcast -------------------------------------------------------------------
 
@@ -121,7 +120,7 @@ def measure_qubit(
 def teleport_branches(input_state: StateVector):
     """All four measurement branches, exactly (no sampling), in the order
     (0, 0), (0, 1), (1, 0), (1, 1) of (bit_z, bit_x): one tuple
-    (outcome, probability, receiver_before, receiver_after) per branch.
+    ((bit_z, bit_x), probability, receiver_before, receiver_after) per branch.
 
     Every branch has probability 1/4, the receiver's corrected state always
     matches the input, and the receiver's uncorrected states average to the
@@ -135,7 +134,7 @@ def teleport_branches(input_state: StateVector):
             prob = float((np.abs(sub) ** 2).sum())
             before = StateVector(1, sub / np.sqrt(prob))
             after = StateVector(1, teleport._correct(before.amplitudes, bit_z, bit_x))
-            branches.append((BellOutcome(bit_z, bit_x), prob, before, after))
+            branches.append(((bit_z, bit_x), prob, before, after))
     return tuple(branches)
 
 

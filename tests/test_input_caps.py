@@ -121,9 +121,9 @@ def test_teleport_width_cap_fires_before_drawing():
     with pytest.raises(ResourceError, match="cap"):
         teleport_index(0, teleport.MAX_TELEPORT_BITS + 1, RefusingGenerator())
     n = (1 << teleport.MAX_TELEPORT_BITS) - 3
-    value, records = teleport_index(n, teleport.MAX_TELEPORT_BITS, np.random.default_rng(4))
+    value, outcomes = teleport_index(n, teleport.MAX_TELEPORT_BITS, np.random.default_rng(4))
     assert value == n
-    assert len(records) == teleport.MAX_TELEPORT_BITS
+    assert outcomes.shape == (teleport.MAX_TELEPORT_BITS, 2)
 
 
 def test_pq_dh_window_past_the_teleport_cap_fires_before_the_sync():

@@ -3,13 +3,7 @@ import pytest
 
 from qkeylab.errors import DomainError
 from qkeylab.qstate import StateVector, apply_gate, fidelity, new_basis_state, x, z
-from qkeylab.teleport import (
-    BellOutcome,
-    TeleportTranscript,
-    _bell_frame,
-    teleport_index,
-    teleport_state,
-)
+from qkeylab.teleport import _bell_frame, teleport_index, teleport_state
 from oracles import measure_qubit, teleport_branches
 
 
@@ -23,21 +17,24 @@ def per_state_teleport(input_state, rng):
     base = bit_z + 2 * bit_x
     receiver = StateVector(1, state.amplitudes[[base, base + 4]])
     receiver = apply_gate(receiver, *(x(0),) * bit_x, *(z(0),) * bit_z)
-    outcome = BellOutcome(bit_z, bit_x)
-    return TeleportTranscript(outcome, fidelity(input_state, receiver)), receiver
+    return (bit_z, bit_x), receiver
 
 
 def per_qubit_teleport_index(n, bit_width, rng):
     """The slow, obvious twin of `teleport_index`: one per-state teleport run
-    and one receiver readout per bit, bit 0 first."""
+    and one receiver readout per bit, bit 0 first. Returns the value and the
+    (bit_width, 2) uint8 rows of (bit_z, bit_x); every run must have unit
+    fidelity."""
     value = 0
-    records = []
+    outcomes = []
     for k in range(bit_width):
-        record, received = per_state_teleport(new_basis_state(1, (n >> k) & 1), rng)
+        payload = new_basis_state(1, (n >> k) & 1)
+        outcome, received = per_state_teleport(payload, rng)
+        assert fidelity(payload, received) >= 1 - 1e-9
         measured, _ = measure_qubit(received, 0, rng)
         value |= measured.outcome << k
-        records.append(record)
-    return value, records
+        outcomes.append(outcome)
+    return value, np.array(outcomes, dtype=np.uint8)
 
 
 def random_qubit(rng):
@@ -48,16 +45,16 @@ def random_qubit(rng):
 class TestBellMeasure:
     def test_outcome_bits_are_binary(self):
         rng = np.random.default_rng(9)
-        record, _ = teleport_state(new_basis_state(1, 0), rng)
-        assert record.outcome.bit_z in (0, 1) and record.outcome.bit_x in (0, 1)
+        (bit_z, bit_x), _ = teleport_state(new_basis_state(1, 0), rng)
+        assert bit_z in (0, 1) and bit_x in (0, 1)
 
     def test_deterministic_under_seed(self):
         def sequence(seed):
             rng = np.random.default_rng(seed)
             out = []
             for _ in range(20):
-                record, _ = teleport_state(random_qubit(rng), rng)
-                out.append((record.outcome.bit_z, record.outcome.bit_x))
+                outcome, _ = teleport_state(random_qubit(rng), rng)
+                out.append(outcome)
             return out
 
         assert sequence(42) == sequence(42)
@@ -68,24 +65,18 @@ class TestBellMeasure:
         counts = {}
         trials = 10_000
         for _ in range(trials):
-            record, _ = teleport_state(random_qubit(rng), rng)
-            key = (record.outcome.bit_z, record.outcome.bit_x)
-            counts[key] = counts.get(key, 0) + 1
+            outcome, _ = teleport_state(random_qubit(rng), rng)
+            counts[outcome] = counts.get(outcome, 0) + 1
         assert sorted(counts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         for count in counts.values():
             assert abs(count / trials - 0.25) <= 0.02
-
-    def test_invalid_outcome_bits_rejected(self):
-        with pytest.raises(DomainError):
-            BellOutcome(2, 0)
 
 
 class TestTeleportState:
     def test_basis_zero(self):
         rng = np.random.default_rng(1)
-        record, received = teleport_state(new_basis_state(1, 0), rng)
-        assert record.fidelity >= 1 - 1e-9
-        assert fidelity(received, new_basis_state(1, 0)) >= 1 - 1e-9
+        _, received = teleport_state(new_basis_state(1, 0), rng)
+        assert fidelity(new_basis_state(1, 0), received) >= 1 - 1e-9
 
     def test_specific_superposition_all_branches(self):
         # 0.6|0> + 0.8i|1>: every measurement branch must reproduce it exactly.
@@ -98,8 +89,9 @@ class TestTeleportState:
         rng = np.random.default_rng(8)
         worst = 1.0
         for _ in range(200):
-            record, _ = teleport_state(random_qubit(rng), rng)
-            worst = min(worst, record.fidelity)
+            state = random_qubit(rng)
+            _, received = teleport_state(state, rng)
+            worst = min(worst, fidelity(state, received))
         assert worst >= 1 - 1e-9
 
     def test_receiver_average_is_maximally_mixed(self):
@@ -115,7 +107,7 @@ class TestTeleportState:
             np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-9)
 
     def test_equals_the_per_state_twin(self):
-        # Outcome, fidelity, receiver bytes and the generator's next draw.
+        # Outcome bits, receiver bytes and the generator's next draw.
         pick = np.random.default_rng(31)
         payloads = [new_basis_state(1, 0), new_basis_state(1, 1)]
         payloads.append(StateVector(1, np.array([0.6, 0.8j])))
@@ -123,12 +115,13 @@ class TestTeleportState:
         seen = set()
         for seed, payload in enumerate(payloads):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            record, receiver = teleport_state(payload, fast)
-            twin_record, twin_receiver = per_state_teleport(payload, slow)
-            assert record == twin_record
+            outcome, receiver = teleport_state(payload, fast)
+            twin_outcome, twin_receiver = per_state_teleport(payload, slow)
+            assert outcome == twin_outcome
+            assert all(type(bit) is int for bit in outcome)
             assert receiver.amplitudes.tobytes() == twin_receiver.amplitudes.tobytes()
             assert fast.random() == slow.random()
-            seen.add(record.outcome)
+            seen.add(outcome)
         assert len(seen) == 4
 
     def test_multi_qubit_input_rejected(self):
@@ -161,20 +154,26 @@ class TestTeleportIndex:
 
     def test_sink_collects_per_qubit_records(self):
         rng = np.random.default_rng(6)
-        value, records = teleport_index(9, 6, rng)
+        value, outcomes = teleport_index(9, 6, rng)
         assert value == 9
-        assert len(records) == 6
-        assert all(record.fidelity >= 1 - 1e-9 for record in records)
+        assert outcomes.shape == (6, 2)
+        assert outcomes.dtype == np.uint8
+        assert set(np.unique(outcomes).tolist()) <= {0, 1}
 
     def test_batch_equals_the_per_qubit_oracle(self):
-        # Value, records (fidelity included) and the generator's next draw.
+        # Value, outcome rows and the generator's next draw; the oracle checks
+        # each run's fidelity.
         cases = [(seed, 1 + seed % 48) for seed in range(300)] + [(900, 1024), (901, 1024)]
         for seed, width in cases:
             pick = np.random.default_rng(10_000 + seed)
             n = int.from_bytes(pick.bytes((width + 7) // 8), "little") % (1 << width)
             n = (0, (1 << width) - 1, n)[seed % 3]
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert teleport_index(n, width, fast) == per_qubit_teleport_index(n, width, slow)
+            value, outcomes = teleport_index(n, width, fast)
+            twin_value, twin_outcomes = per_qubit_teleport_index(n, width, slow)
+            assert value == twin_value
+            assert outcomes.dtype == np.uint8 and outcomes.shape == (width, 2)
+            assert np.array_equal(outcomes, twin_outcomes)
             assert fast.random() == slow.random()
 
     def test_three_draws_per_bit(self):
