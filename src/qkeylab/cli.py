@@ -380,10 +380,11 @@ def _run_coinflip(config: ScenarioConfig, report: RunReport) -> None:
     report.stat("verified_all", verified_all)
     report.verdict("verify_honest", verified_all)
     if p["sessions"] >= 2000:
-        report.verdict(
-            "decision_rate", abs(decided / total_trials - 4.0 / 9.0) <= p["rate_tol"]
-        )
-        # 3 sigma of a fair coin's heads fraction over the decided sessions.
+        # 3 sigma of the 4/9 decision rate over the trials, and of a fair
+        # coin's heads fraction over the decided sessions.
+        q = 4.0 / 9.0
+        rate_tol = max(p["rate_tol"], 3 * math.sqrt(q * (1 - q) / total_trials)) + 1e-12
+        report.verdict("decision_rate", abs(decided / total_trials - q) <= rate_tol)
         heads_tol = max(p["heads_tol"], 3 * math.sqrt(0.25 / decided)) + 1e-12
         report.verdict("heads_balance", abs(heads / decided - 0.5) <= heads_tol)
 

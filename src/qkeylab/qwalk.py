@@ -10,10 +10,12 @@ so the inverse step is shift-then-coin. A `Graph` carries the whole operator:
 the per-vertex coin factors (2/d, 0 where marked), the marked arcs and the reversal.
 
 `walk_distribution` and `success_probability_trace` share one walk loop,
-validated on entry and exit only, whose trace reads only the marked arcs. It
-runs on float64: the coin is real, the shift permutes and the start is
-uniform, so the complex walk's amplitudes are exactly these real ones. The
-validated complex step is the loop's oracle in `tests/oracles.py`.
+whose trace reads only the marked arcs and whose norm is checked once, on
+the final state. The walk has one state, a float64 array of arc amplitudes:
+the coin is real, the shift permutes and the start is uniform, so the
+complex walk's amplitudes are exactly these real ones. The complex walk
+(state, uniform start, position marginal and step) is the loop's oracle in
+`tests/oracles.py`.
 
 On a torus grid with a single marked vertex this walk finds the mark in
 O(sqrt(N log N)) steps with success probability Omega(1/log N); the
@@ -35,7 +37,7 @@ from .broadcast import (
     int_to_bits,
 )
 from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS
-from .errors import DomainError, ResourceError
+from .errors import DomainError, InternalError, ResourceError
 from .keyexchange import run_clock_sync
 from .teleport import MAX_TELEPORT_BITS
 from .transcript import Transcript
@@ -69,8 +71,7 @@ class Graph:
 
     def __init__(self, n_vertices: int, arc_tail, arc_head, marked=()):
         n = int(n_vertices)
-        if n > MAX_VERTICES:
-            raise ResourceError(f"{n} vertices exceed the cap {MAX_VERTICES}")
+        _check_vertices(n)
         tail = np.asarray(arc_tail, dtype=np.int64)
         head = np.asarray(arc_head, dtype=np.int64)
         outside = np.flatnonzero((tail < 0) | (tail >= n) | (head < 0) | (head >= n))
@@ -167,36 +168,11 @@ def binary_tree_graph(depth: int, marked=()) -> Graph:
     return Graph(n, tail[order], head[order], marked)
 
 
-@dataclass(frozen=True)
-class CoinedWalkState:
-    """Unit-norm amplitude vector over the graph's arcs."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        # Not np.linalg.norm: its BLAS call wakes worker threads that then spin.
-        norm = math.sqrt(float(np.sum(amps.real**2 + amps.imag**2)))
-        if abs(norm - 1.0) > 1e-9:
-            raise DomainError(f"walk state norm {norm} deviates from 1")
-
-
-def uniform_superposition(graph: Graph) -> CoinedWalkState:
-    amps = np.full(graph.n_arcs, 1.0 / math.sqrt(graph.n_arcs), dtype=complex)
-    return CoinedWalkState(amps)
-
-
 def _apply_coin(amps: np.ndarray, graph: Graph) -> np.ndarray:
     block_sums = np.add.reduceat(amps, graph.arc_offsets)
     coined = np.repeat(graph.coin_factor * block_sums, graph.arc_degrees)
     coined -= amps
     return coined
-
-
-def position_probabilities(state: CoinedWalkState, graph: Graph) -> np.ndarray:
-    weights = np.abs(state.amplitudes) ** 2
-    return np.add.reduceat(weights, graph.arc_offsets)
 
 
 def _check_steps(t_steps: int) -> None:
@@ -208,36 +184,39 @@ def _check_steps(t_steps: int) -> None:
 
 def _walk(
     graph: Graph, t_steps: int, watch_marked: bool = False
-) -> tuple[CoinedWalkState, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """t_steps of the marked walk from the uniform state, on float64 arrays.
 
-    Returns the final state and, with watch_marked, the marked vertices' arc
-    amplitudes (in arc order) at t = 0..t_steps, one row per t; without it,
-    rows of no arcs. The step count is checked before the first step and the
-    norm on entry and on the final state.
+    Returns the final arc amplitudes and, with watch_marked, the marked
+    vertices' arc amplitudes (in arc order) at t = 0..t_steps, one row per t;
+    without it, rows of no arcs. The step count is checked before the first
+    step and the norm once, on the final state: coin and shift are unitary,
+    so a drift there is a bug in the loop.
     """
     _check_steps(t_steps)
     watched = graph.marked_arcs if watch_marked else graph.marked_arcs[:0]
-    amps = uniform_superposition(graph).amplitudes.real.copy()
+    amps = np.full(graph.n_arcs, 1.0 / math.sqrt(graph.n_arcs))
     watched_amps = np.empty((t_steps + 1, watched.size))
     watched_amps[0] = amps[watched]
     for t in range(1, t_steps + 1):
         amps = _apply_coin(amps, graph).take(graph.arc_reversal)
         watched_amps[t] = amps[watched]
-    return CoinedWalkState(amps), watched_amps
+    # Not np.linalg.norm: its BLAS call wakes worker threads that then spin.
+    norm = math.sqrt(float(np.sum(amps**2)))
+    if abs(norm - 1.0) > 1e-9:
+        raise InternalError(f"walk state norm {norm} deviates from 1")
+    return amps, watched_amps
 
 
 def walk_distribution(graph: Graph, t_steps: int) -> np.ndarray:
     """Vertex probabilities after t_steps of the marked walk from the uniform state."""
-    state, _ = _walk(graph, t_steps)
-    return position_probabilities(state, graph)
+    amps, _ = _walk(graph, t_steps)
+    return np.add.reduceat(amps**2, graph.arc_offsets)
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    measured_vertices: np.ndarray
     success_rate: float
-    steps_t: int
     exact_success_probability: float
 
 
@@ -254,9 +233,7 @@ def search(graph: Graph, t_steps: int, rng: np.random.Generator, trials: int) ->
     probs = walk_distribution(graph, t_steps)
     vertices = rng.choice(graph.n_vertices, size=trials, p=probs / probs.sum())
     return SearchResult(
-        measured_vertices=vertices,
         success_rate=float(np.isin(vertices, marked).mean()),
-        steps_t=t_steps,
         exact_success_probability=float(probs[marked].sum()),
     )
 
@@ -275,11 +252,10 @@ def success_probability_trace(graph: Graph, t_limit: int) -> np.ndarray:
         raise ResourceError(f"a trace of {values} values exceeds the cap {MAX_TRACE_VALUES}")
     _, marked_amps = _walk(graph, t_limit, watch_marked=True)
     # Sum each marked vertex's arc block, then the vertices in order: the
-    # additions of position_probabilities(state, graph)[marked].sum().
+    # additions of walk_distribution(graph, t)[marked].sum().
     degrees = graph.arc_degrees[sorted(graph.marked)]
     block_starts = np.concatenate(([0], np.cumsum(degrees)[:-1]))
-    weights = np.abs(marked_amps) ** 2
-    return np.add.reduceat(weights, block_starts, axis=1).sum(axis=1)
+    return np.add.reduceat(marked_amps**2, block_starts, axis=1).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -290,8 +266,7 @@ class SweepPoint:
 
 
 def sweep_step_cap(n: int, cap_factor: float = 4.0) -> int:
-    if n < 1:
-        raise DomainError(f"need >= 1 vertex, got {n}")
+    _check_vertices(n)
     bound = cap_factor * math.sqrt(n * math.log2(n))
     if not 0.0 <= bound < math.inf:
         raise DomainError(f"step bound {bound} (cap_factor {cap_factor}) must be finite and >= 0")

@@ -25,13 +25,16 @@ compare the two bit for bit:
 * `teleport_branches`: all four measurement branches of a teleport run,
   read off the Bell frame without sampling and keyed by the (bit_z, bit_x)
   tuple that `teleport.teleport_state` returns, the exact view of that run.
-* `step`: one validated coin-then-shift step of a complex walk state, the
-  twin of the walk loop behind `qwalk.walk_distribution` and
-  `qwalk.success_probability_trace`.
+* `CoinedWalkState`, `uniform_superposition`, `position_probabilities` and
+  `step`: the complex walk, a unit-norm state checked at every step, its
+  uniform start, its position marginal and one coin-then-shift step. Looped,
+  they are the twin of the float64 walk loop behind `qwalk.walk_distribution`
+  and `qwalk.success_probability_trace`.
 * `brute_force_dlog`: the smallest discrete log by trying every exponent,
   the oracle of the log table behind `keyexchange.crack_classic_dh` and
   `keyexchange.pq_candidate_keys` (`keyexchange._discrete_log`).
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,12 +144,36 @@ def teleport_branches(input_state: StateVector):
 # -- qwalk -----------------------------------------------------------------------
 
 
-def step(state: qwalk.CoinedWalkState, graph: qwalk.Graph) -> qwalk.CoinedWalkState:
+@dataclass(frozen=True)
+class CoinedWalkState:
+    """Unit-norm amplitude vector over the graph's arcs."""
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        object.__setattr__(self, "amplitudes", amps)
+        norm = math.sqrt(float(np.sum(amps.real**2 + amps.imag**2)))
+        if abs(norm - 1.0) > 1e-9:
+            raise DomainError(f"walk state norm {norm} deviates from 1")
+
+
+def uniform_superposition(graph: qwalk.Graph) -> CoinedWalkState:
+    amps = np.full(graph.n_arcs, 1.0 / math.sqrt(graph.n_arcs), dtype=complex)
+    return CoinedWalkState(amps)
+
+
+def position_probabilities(state: CoinedWalkState, graph: qwalk.Graph) -> np.ndarray:
+    weights = np.abs(state.amplitudes) ** 2
+    return np.add.reduceat(weights, graph.arc_offsets)
+
+
+def step(state: CoinedWalkState, graph: qwalk.Graph) -> CoinedWalkState:
     """One validated coin-then-shift step of a complex state."""
     amps = state.amplitudes
     if amps.shape != (graph.n_arcs,):
         raise DomainError(f"state has {amps.shape} amplitudes, graph has {graph.n_arcs} arcs")
-    return qwalk.CoinedWalkState(qwalk._apply_coin(amps, graph).take(graph.arc_reversal))
+    return CoinedWalkState(qwalk._apply_coin(amps, graph).take(graph.arc_reversal))
 
 
 # -- keyexchange -----------------------------------------------------------------

@@ -179,6 +179,25 @@ class TestStatisticalVerdicts:
         report = run(build_config("coinflip", overrides={"sessions": "2000"}, workers=1))
         assert dict(report.verdicts)["heads_balance"] is ok
 
+    @pytest.mark.parametrize("total_trials,ok", [(4720, True), (4750, False)])
+    def test_decision_rate_past_three_sigma_fails(self, total_trials, ok, monkeypatch):
+        # 2000 decided sessions, alternating heads and tails: at 4720 trials
+        # the rate 0.4237 is 0.0207 below 4/9 and 3 sigma is 0.0217, so it
+        # passes where the 0.02 floor alone would fail it; at 4750 trials the
+        # rate 0.4211 is 0.0234 below, past 3 sigma (0.0216).
+        def session(i, rng, p):
+            trials = total_trials // 2000 + (i < total_trials % 2000)
+            return (coinflip.HEADS, coinflip.TAILS)[i % 2], trials, True
+
+        monkeypatch.setattr(cli, "_coinflip_session", session)
+        report = run(build_config("coinflip", overrides={"sessions": "2000"}, workers=1))
+        assert dict(report.stats)["total_trials"] == str(total_trials)
+        assert dict(report.verdicts) == {
+            "verify_honest": True,
+            "decision_rate": ok,
+            "heads_balance": True,
+        }
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("scenario,overrides", [

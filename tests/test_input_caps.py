@@ -355,6 +355,24 @@ def test_sweep_size_count_cap_fires_before_any_walk(monkeypatch):
     assert len(points) == qwalk.MAX_SWEEP_SIZES
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_graph_without_vertices_rejected_before_allocating(n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the vertex check")
+
+    monkeypatch.setattr(qwalk.np, "bincount", refuse)
+    with pytest.raises(DomainError, match=">= 1 vertex"):
+        qwalk.Graph(n, [], [])
+
+
+def test_sweep_step_cap_past_the_vertex_cap_raises_resource_error():
+    # 2^1100 overflows the float step bound; the vertex cap fires first.
+    with pytest.raises(ResourceError, match="cap"):
+        qwalk.sweep_step_cap(2**1100)
+    with pytest.raises(ResourceError, match="cap"):
+        qwalk.sweep_step_cap(qwalk.MAX_VERTICES + 1)
+
+
 BAD_CAP_FACTORS = [math.nan, math.inf, -math.inf, 1e308]  # 1e308 overflows the step bound
 WALK_DOMAIN_CASES = [
     (qwalk.torus_graph, (-1,)),

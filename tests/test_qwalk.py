@@ -8,29 +8,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkeylab import qwalk
-from qkeylab.errors import DomainError, ResourceError
+from qkeylab.errors import DomainError, InternalError, ResourceError
 from qkeylab.clocksync import Clock
 from qkeylab.broadcast import BroadcastSource, KeyWindow, Receiver
 from qkeylab.transcript import int_payload
 from qkeylab.qwalk import (
     MAX_WALK_STEPS,
-    CoinedWalkState,
     Graph,
     binary_tree_graph,
     cycle_graph,
     keyspace_grid_attack,
-    position_probabilities,
     scaling_sweep,
     search,
     success_probability_trace,
     sweep_step_cap,
     torus_graph,
     tree_walk_key,
-    uniform_superposition,
     walk_agreement,
     walk_distribution,
 )
-from oracles import step
+from oracles import CoinedWalkState, position_probabilities, step, uniform_superposition
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "qwalk_sweep.json").read_text())
 
@@ -210,12 +207,12 @@ class TestGraphs:
 
 class TestUniformSuperposition:
     def test_cycle_amplitudes(self):
-        state = uniform_superposition(cycle_graph(4))
-        np.testing.assert_allclose(state.amplitudes, np.full(8, 1 / math.sqrt(8)))
+        amps, _ = qwalk._walk(cycle_graph(4), 0)
+        assert amps.dtype == np.float64
+        assert np.array_equal(amps, np.full(8, 1 / math.sqrt(8)))
 
     def test_position_marginal_uniform(self):
-        g = torus_graph(16)
-        probs = position_probabilities(uniform_superposition(g), g)
+        probs = walk_distribution(torus_graph(16), 0)
         np.testing.assert_allclose(probs, np.full(16, 1 / 16), atol=1e-12)
 
 
@@ -303,11 +300,14 @@ class TestSearch:
         g = torus_graph(64, marked={9})
         t_star = GOLDEN["64"]["t_star"]
         exact = success_probability_trace(g, t_star)[t_star]
-        rng = np.random.default_rng(11)
         trials = 800
+        probs = walk_distribution(g, t_star)
+        oracle_rng = np.random.default_rng(11)
+        expected = oracle_rng.choice(64, size=trials, p=probs / probs.sum())
+        rng = np.random.default_rng(11)
         result = search(g, t_star, rng, trials)
-        assert result.measured_vertices.shape == (trials,)
-        assert result.success_rate == float((result.measured_vertices == 9).mean())
+        assert result.success_rate == float((expected == 9).mean())
+        assert rng.random() == oracle_rng.random()  # exactly `trials` samples drawn
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(result.success_rate - exact) <= 3 * sigma + 1e-9
 
@@ -315,11 +315,13 @@ class TestSearch:
         # One draw of `trials` samples from walk_distribution, as qwalk-search reports it.
         g = cycle_graph(17, marked={3, 11})
         probs = walk_distribution(g, 9)
-        expected = np.random.default_rng(4).choice(17, size=500, p=probs / probs.sum())
-        result = search(g, 9, np.random.default_rng(4), 500)
-        assert np.array_equal(result.measured_vertices, expected)
+        oracle_rng = np.random.default_rng(4)
+        expected = oracle_rng.choice(17, size=500, p=probs / probs.sum())
+        rng = np.random.default_rng(4)
+        result = search(g, 9, rng, 500)
         assert result.success_rate == float(np.isin(expected, [3, 11]).mean())
-        assert result.steps_t == 9
+        assert result.exact_success_probability == float(probs[[3, 11]].sum())
+        assert rng.random() == oracle_rng.random()  # exactly 500 samples drawn
 
     def test_needs_a_trial(self):
         with pytest.raises(DomainError):
@@ -610,7 +612,7 @@ class TestWalkLoop:
     @pytest.mark.parametrize("graph,t_steps", FIXUP_COIN_CASES, ids=FIXUP_COIN_IDS)
     def test_zero_coin_factor_equals_fixup_coin_bitwise(self, graph, t_steps):
         # Along the real walk, and on a random complex state as step sees it.
-        amps = uniform_superposition(graph).amplitudes.real.copy()
+        amps, _ = qwalk._walk(graph, 0)
         for _ in range(t_steps):
             coined = qwalk._apply_coin(amps, graph)
             assert np.array_equal(coined, fixup_coin(amps, graph))
@@ -620,19 +622,38 @@ class TestWalkLoop:
         assert np.array_equal(qwalk._apply_coin(amps, graph), fixup_coin(amps, graph))
 
     @pytest.mark.parametrize("walk", [success_probability_trace, walk_distribution])
-    def test_state_validated_on_entry_and_exit_only(self, walk, monkeypatch):
-        built = []
-        validate = CoinedWalkState.__post_init__
-
-        def counting(self):
-            built.append(1)
-            validate(self)
-
-        monkeypatch.setattr(CoinedWalkState, "__post_init__", counting)
+    def test_norm_drift_on_exit_is_an_internal_error(self, walk, monkeypatch):
+        # The norm is checked once, on the final state: a coin that scales
+        # by 1 + 1e-6 is caught after any step, and a walk of no steps never
+        # applies it.
+        apply_coin = qwalk._apply_coin
+        monkeypatch.setattr(
+            qwalk, "_apply_coin", lambda amps, graph: apply_coin(amps, graph) * (1 + 1e-6)
+        )
         g = torus_graph(64, marked={9})
-        counts = []
-        for t_steps in (0, 10, 200):
-            built.clear()
-            walk(g, t_steps)
-            counts.append(len(built))
-        assert counts == [2, 2, 2]
+        walk(g, 0)
+        for t_steps in (1, 10, 200):
+            with pytest.raises(InternalError, match="norm"):
+                walk(g, t_steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_walk_equals_complex_oracle_bitwise(self, data):
+        build, size = data.draw(
+            st.one_of(
+                st.tuples(st.just(cycle_graph), st.integers(3, 60)),
+                st.tuples(st.just(torus_graph), st.integers(3, 9).map(lambda side: side * side)),
+                st.tuples(st.just(binary_tree_graph), st.integers(1, 5)),
+            )
+        )
+        n = build(size).n_vertices
+        marks = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+        t_steps = data.draw(st.integers(0, 60))
+        graph = build(size, marked=marks)
+        oracle = []
+        for state in stepped_walk(graph, t_steps):
+            oracle.append(position_probabilities(state, graph)[sorted(marks)].sum())
+        assert np.array_equal(success_probability_trace(graph, t_steps), oracle)
+        assert np.array_equal(
+            walk_distribution(graph, t_steps), position_probabilities(state, graph)
+        )
