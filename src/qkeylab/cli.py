@@ -43,6 +43,7 @@ from .seeds import derive_rng
 ENV_MASTER_SEED = "QKEYLAB_MASTER_SEED"
 DEFAULT_MASTER_SEED = 12345
 MAX_WORKERS = 64
+MAX_TRIALS = 1 << 20  # trials, instances or sessions: _map_trials keeps every result
 
 _REQUIRED = object()
 
@@ -227,13 +228,18 @@ def _run_clocksync(config: ScenarioConfig, report: RunReport) -> None:
 # -- scenario: dh --------------------------------------------------------------
 
 
+def _settled(result) -> bool:
+    """Reveal both keys, so that no report prints a live one, then compare them."""
+    key_alice, key_bob = result.key_alice.reveal(), result.key_bob.reveal()
+    return result.agreed and bool(np.array_equal(key_alice, key_bob))
+
+
 def _dh_instance(i, rng, p):
     prime = keyexchange.random_prime(p["p_bits"], rng)
     g = 2 + random_below(prime - 3, rng)
     a = keyexchange.random_secret(prime, rng)
     b = keyexchange.random_secret(prime, rng)
-    result = keyexchange.classic_dh(keyexchange.DhParams(prime, g), a, b)
-    return result.agreed and result.key_a.reveal() == result.key_b.reveal()
+    return _settled(keyexchange.classic_dh(keyexchange.DhParams(prime, g), a, b))
 
 
 def _run_dh(config: ScenarioConfig, report: RunReport) -> None:
@@ -249,13 +255,13 @@ def _run_dh(config: ScenarioConfig, report: RunReport) -> None:
     a = keyexchange.random_secret(p["p"], rng)
     b = keyexchange.random_secret(p["p"], rng)
     result = keyexchange.classic_dh(params, a, b)
-    agreed = result.agreed and result.key_a.reveal() == result.key_b.reveal()
+    agreed = _settled(result)
     report.transcript_lines = result.transcript.render().splitlines()
     report.stat("p", p["p"])
     report.stat("g", p["g"])
     report.stat("agreed", agreed)
-    report.stat("key_alice", result.key_a.render())
-    report.stat("key_bob", result.key_b.render())
+    report.stat("key_alice", result.key_alice.render())
+    report.stat("key_bob", result.key_bob.render())
     report.verdict("agreement", agreed)
 
 
@@ -300,14 +306,12 @@ def _pqdh_session(i, rng, p):
     b = keyexchange.random_secret(prime, rng)
     window = _session_window(alice, i, p["p_bits"])
     result = keyexchange.pq_dh(source, alice, bob, window, prime, a, b, rng, **sync)
-    agreed = result.agreed and result.key_alice.reveal() == result.key_bob.reveal()
-    lines = result.transcript.render().splitlines() if i == 0 else []
     return (
-        agreed,
+        _settled(result),
         abs(result.sync_error_ns),
         result.window_retries,
         result.flip_retries,
-        lines,
+        result.transcript.render().splitlines() if i == 0 else [],
         result.key_alice.render(),
     )
 
@@ -333,11 +337,8 @@ def _private_session(i, rng, p):
     result = keyexchange.private_exchange(
         source, alice, bob, window, rng, slot_bits=p["slot_bits"], **sync
     )
-    key_a = result.key_alice.reveal()
-    key_b = result.key_bob.reveal()
-    agreed = result.agreed and bool(np.array_equal(key_a, key_b))
     lines = result.transcript.render().splitlines() if i == 0 else []
-    return agreed, abs(result.sync_error_ns), lines, result.key_alice.render()
+    return _settled(result), abs(result.sync_error_ns), lines, result.key_alice.render()
 
 
 def _run_private(config: ScenarioConfig, report: RunReport) -> None:
@@ -563,7 +564,7 @@ _LINK_FIELDS = {
 SCENARIOS: dict = {
     "teleport-demo": (
         {
-            "trials": FieldSpec(int, 1000, "number of teleported states", 1),
+            "trials": FieldSpec(int, 1000, "number of teleported states", 1, MAX_TRIALS),
             "fidelity_tol": FieldSpec(_finite_float, 1e-9, "allowed fidelity shortfall", 0.0),
             "freq_tol": FieldSpec(_finite_float, 0.02, "allowed outcome-frequency deviation", 0.0),
         },
@@ -571,7 +572,7 @@ SCENARIOS: dict = {
     ),
     "clocksync": (
         {
-            "trials": FieldSpec(int, 200, "number of sync runs", 1),
+            "trials": FieldSpec(int, 200, "number of sync runs", 1, MAX_TRIALS),
             "n_bits": FieldSpec(int, SYNC_N_BITS, "offset digits to resolve", 1, MAX_SYNC_BITS),
             "t_max_ns": FieldSpec(_finite_float, SYNC_T_MAX_NS, "unambiguous offset window"),
             "shots_per_bit": FieldSpec(
@@ -587,14 +588,14 @@ SCENARIOS: dict = {
         {
             "p": FieldSpec(int, 23, "prime modulus (single-run mode)"),
             "g": FieldSpec(int, 5, "public base (single-run mode)"),
-            "instances": FieldSpec(int, 0, "random instances (0: single run with p,g)", 0),
+            "instances": FieldSpec(int, 0, "random instances (0: one run with p,g)", 0, MAX_TRIALS),
             "p_bits": FieldSpec(int, 48, "prime size for random instances", 3, MAX_PRIME_BITS),
         },
         _run_dh,
     ),
     "pqdh": (
         {
-            "sessions": FieldSpec(int, 5, "independent protocol sessions", 1),
+            "sessions": FieldSpec(int, 5, "independent protocol sessions", 1, MAX_TRIALS),
             "p_bits": FieldSpec(int, 48, "prime modulus size", 3, MAX_PRIME_BITS),
             **_LINK_FIELDS,
         },
@@ -602,7 +603,7 @@ SCENARIOS: dict = {
     ),
     "private": (
         {
-            "sessions": FieldSpec(int, 5, "independent protocol sessions", 1),
+            "sessions": FieldSpec(int, 5, "independent protocol sessions", 1, MAX_TRIALS),
             "length_bits": FieldSpec(int, 128, "key length", 1, broadcast.MAX_WINDOW_BITS),
             "slot_bits": FieldSpec(
                 int, 8, "log2 of the slot schedule size", 1, keyexchange.MAX_SLOT_BITS
@@ -615,7 +616,7 @@ SCENARIOS: dict = {
         {
             "b": FieldSpec(int, 64, "discriminant window base", 16),
             "k": FieldSpec(int, 3, "commitment length exponent", 3),
-            "sessions": FieldSpec(int, 200, "sessions to run", 1),
+            "sessions": FieldSpec(int, 200, "sessions to run", 1, MAX_TRIALS),
             "max_rounds": FieldSpec(int, 64, "challenge rounds before undecided", 1),
             # (m, 2m] holds two primes for every m >= 11 (Ramanujan), and m >= 64 here.
             "challenge_factor": FieldSpec(int, 10, "challenge primes drawn from (m, c*m]", 2),
@@ -664,7 +665,7 @@ SCENARIOS: dict = {
     ),
     "eve-bounded-storage": (
         {
-            "trials": FieldSpec(int, 10000, "independent storage draws", 1),
+            "trials": FieldSpec(int, 10000, "independent storage draws", 1, MAX_TRIALS),
             "length": FieldSpec(int, 8, "key window length", 1, broadcast.MAX_WINDOW_BITS),
             "fraction": FieldSpec(_finite_float, 0.5, "stored fraction of the span", 0.0, 1.0),
             "span": FieldSpec(

@@ -114,10 +114,10 @@ def modexp(base: int, exponent: int, modulus: int) -> int:
 @dataclass(frozen=True)
 class DhResult:
     params: DhParams
-    share_a: int
-    share_b: int
-    key_a: SharedKey
-    key_b: SharedKey
+    share_alice: int
+    share_bob: int
+    key_alice: SharedKey
+    key_bob: SharedKey
     agreed: bool
     transcript: Transcript
 
@@ -135,9 +135,7 @@ def classic_dh(params: DhParams, a: PartySecret, b: PartySecret) -> DhResult:
     t.add("share.bob", "bob", "public", int_payload(share_b))
     k_a = modexp(share_b, a.exponent, params.p)
     k_b = modexp(share_a, b.exponent, params.p)
-    return DhResult(
-        params, share_a, share_b, SharedKey(k_a), SharedKey(k_b), k_a == k_b, t
-    )
+    return DhResult(params, share_a, share_b, SharedKey(k_a), SharedKey(k_b), k_a == k_b, t)
 
 
 # -- broadcast-generator exchange --------------------------------------------

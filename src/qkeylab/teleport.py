@@ -12,7 +12,7 @@ rotates qubits 0 and 1 so that the joint measurement reads them in the
 computational basis. One sampler, `_measure`, collapses qubit 1, then qubit
 0, of a stack of frames and corrects each receiver. `teleport_state` runs it
 on a stack of one; `teleport_index` on one stack holding every bit of an
-integer.
+integer, each row gathered from `_BASIS_FRAMES`, built once at import.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .qstate import (
     apply_gate,
     cnot,
     h,
+    new_basis_state,
     x,
     z,
 )
@@ -45,9 +46,12 @@ def _bell_frame(input_state: StateVector) -> StateVector:
     if input_state.n_qubits != 1:
         raise DomainError("teleportation sends exactly one qubit at a time")
     amps = np.zeros(8, dtype=complex)
-    amps[0] = input_state.amplitudes[0]
-    amps[1] = input_state.amplitudes[1]
+    amps[:2] = input_state.amplitudes
     return apply_gate(StateVector(3, amps), *_BELL_FRAME)
+
+
+_BASIS_FRAMES = np.stack([_bell_frame(new_basis_state(1, b)).amplitudes for b in (0, 1)])
+_BASIS_FRAMES.flags.writeable = False
 
 
 def _receiver_state(amps: np.ndarray, bit_z, bit_x) -> np.ndarray:
@@ -90,11 +94,11 @@ def teleport_index(
 ) -> tuple[int, np.ndarray]:
     """Convey the integer n exactly by teleporting bit_width basis-state qubits.
 
-    Bit k of n (LSB-0) rides qubit k's run; all runs go as one (bit_width, 8)
-    stack through `_measure`, the sampler `teleport_state` runs on a stack of
-    one. The draws are `rng.random((bit_width, 3))`: row k holds bit k's
-    qubit-1 draw, its qubit-0 draw and the receiver's readout draw, the order
-    of `teleport_state` followed by a readout of the replica, bit by bit.
+    Bit k of n (LSB-0) rides qubit k's run. All runs go through `_measure`
+    as one (bit_width, 8) stack of frames gathered from `_BASIS_FRAMES`.
+    The draws are `rng.random((bit_width, 3))`: row k holds bit k's qubit-1
+    draw, its qubit-0 draw and the receiver's readout draw, the order of
+    `teleport_state` followed by a readout of the replica, bit by bit.
     Each teleported qubit is measured on the receiving side after correction,
     so the reassembled integer equals n whenever every single-qubit run has
     unit fidelity, which it does here. bit_width is capped at
@@ -112,11 +116,7 @@ def teleport_index(
     draws = rng.random((bit_width, 3))
     n_bytes = np.frombuffer(n.to_bytes((bit_width + 7) // 8, "little"), np.uint8)
     bits = np.unpackbits(n_bytes, bitorder="little")[:bit_width]
-    amps = np.zeros((bit_width, 8), dtype=complex)
-    amps[np.arange(bit_width), bits] = 1.0
-    for gate in _BELL_FRAME:
-        amps = _apply(amps, gate)
-    bit_z, bit_x, receiver = _measure(amps, draws)
+    bit_z, bit_x, receiver = _measure(_BASIS_FRAMES[bits], draws)
     received, _, _ = _collapse(receiver, 0, draws[:, 2])
     value = int.from_bytes(np.packbits(received, bitorder="little").tobytes(), "little")
     return value, np.stack((bit_z, bit_x), axis=1).astype(np.uint8)

@@ -67,12 +67,12 @@ def test_criterion_02_diffie_hellman_correctness():
             result = keyexchange.classic_dh(
                 params, keyexchange.PartySecret(a), keyexchange.PartySecret(b)
             )
-            if result.key_a.reveal() != result.key_b.reveal():
+            if result.key_alice.reveal() != result.key_bob.reveal():
                 exhaustive_ok = False
     example = keyexchange.classic_dh(
         params, keyexchange.PartySecret(6), keyexchange.PartySecret(15)
     )
-    example_ok = example.key_a.reveal() == 2
+    example_ok = example.key_alice.reveal() == 2
     random_ok = True
     for i in range(1000):
         rng = derive_rng(MASTER_SEED, "acc2", i)
@@ -82,9 +82,9 @@ def test_criterion_02_diffie_hellman_correctness():
         a = keyexchange.random_secret(p, rng)
         b = keyexchange.random_secret(p, rng)
         result = keyexchange.classic_dh(keyexchange.DhParams(p, g), a, b)
-        key = result.key_a.reveal()
+        key = result.key_alice.reveal()
         oracle = keyexchange.modexp(g, a.exponent * b.exponent, p)
-        if key != result.key_b.reveal() or key != oracle:
+        if key != result.key_bob.reveal() or key != oracle:
             random_ok = False
     ok = exhaustive_ok and example_ok and random_ok
     report(

@@ -11,7 +11,11 @@ tests use is surface without a use.
 
 Both sides of that line are checked: every module-level private function
 under src/ is read by other code there, and every public function and class
-of `tests/oracles.py` is imported by some test module."""
+of `tests/oracles.py` is imported by some test module.
+
+Every field of a public dataclass is read as an attribute somewhere under
+src/, perfbench/ or tests/, unless it is named below: a field that nothing
+reads is one more value every caller must supply for no use."""
 import ast
 import dataclasses
 import importlib
@@ -36,6 +40,12 @@ KEPT_WITHOUT_CALLER = {
 KEPT_UNUSED_MEMBERS = {
     # The eavesdropper's view of a transcript, which the security tests assert on.
     "Transcript.eve_view",
+}
+
+KEPT_UNREAD_FIELDS = {
+    # Every caller passes it and nothing reads it. perfbench/workloads.py
+    # passes it too, so it goes with ROADMAP item 5, which edits those calls.
+    "Receiver.label",  # broadcast
 }
 
 KEPT_UNSET_DEFAULTS = {
@@ -226,6 +236,26 @@ def test_every_default_is_set_by_a_caller_or_kept_on_purpose():
     assert sorted(unset - KEPT_UNSET_DEFAULTS) == []
     # Every kept entry still exists and still has no caller that sets it.
     assert sorted(KEPT_UNSET_DEFAULTS - unset) == []
+
+
+def test_every_dataclass_field_is_read_or_kept_on_purpose():
+    paths = [path for top in ("src", "perfbench", "tests") for path in (ROOT / top).rglob("*.py")]
+    read = {
+        node.attr
+        for _, tree in _trees(paths)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {
+        f"{class_name}.{f.name}"
+        for _, class_name, cls in public_api()
+        if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    }
+    assert sorted(unread - KEPT_UNREAD_FIELDS) == []
+    # Every kept entry still exists and is still read nowhere.
+    assert sorted(KEPT_UNREAD_FIELDS - unread) == []
 
 
 def _loaded_names(node):

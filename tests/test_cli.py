@@ -267,6 +267,15 @@ class TestVanishedKeysInReports:
         report = run(build_config("private", overrides={"sessions": "1", "length_bits": "32"}))
         assert "key_render = <vanished>" in report.render()
 
+    def test_mismatched_pqdh_report_shows_vanished_marker(self, capsys):
+        # A sync ladder of 2 shots per rung misses the offset at this bitrate,
+        # so the keys differ; neither may stay live for the report.
+        argv = ["pqdh", "--sessions", "1", "--p-bits", "16", "--bitrate", "4.99e6"]
+        assert main([*argv, "--sync-shots-per-bit", "2", "--master-seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "sessions_agreed = 0" in out
+        assert "key_render = <vanished>" in out
+
 
 # -- the input contract ------------------------------------------------------------
 
@@ -328,6 +337,17 @@ CAP_CASES = [
     ["coinflip", "--challenge-factor", "100000"],
     *WALK_CAP_CASES,
     *MODULUS_CAP_CASES,
+]
+
+# Every trial count: _map_trials keeps one result per trial.
+TRIAL_COUNT_FIELDS = [
+    ("teleport-demo", "trials"),
+    ("clocksync", "trials"),
+    ("eve-bounded-storage", "trials"),
+    ("dh", "instances"),
+    ("pqdh", "sessions"),
+    ("private", "sessions"),
+    ("coinflip", "sessions"),
 ]
 
 # Sizes past a cap and geometries that place a window nowhere on the stream:
@@ -467,6 +487,22 @@ class TestInputContract:
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [cli.MAX_TRIALS + 1, 1 << 31])
+    @pytest.mark.parametrize("scenario,key", TRIAL_COUNT_FIELDS)
+    def test_trial_count_cap_exits_2_before_any_trial(
+        self, scenario, key, count, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("a trial started past the cap")
+
+        monkeypatch.setattr(cli, "_map_trials", refuse)
+        assert main([scenario, f"--{key}", str(count)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {key} must be <= {cli.MAX_TRIALS}")
+        assert "Traceback" not in err
+        cap = build_config(scenario, overrides={key: str(cli.MAX_TRIALS)})
+        assert cap.params[key] == cli.MAX_TRIALS
 
     def test_two_bit_pqdh_exits_2_before_any_session(self, monkeypatch, capsys):
         # 3 is the only 2-bit prime, and every one-bit flip of a generator in

@@ -88,12 +88,12 @@ class TestClassicDh:
     def test_worked_example(self):
         result = classic_dh(DhParams(23, 5), PartySecret(6), PartySecret(15))
         assert result.agreed
-        assert result.key_a.reveal() == 2
-        assert result.key_b.reveal() == 2
+        assert result.key_alice.reveal() == 2
+        assert result.key_bob.reveal() == 2
 
     def test_unit_exponents(self):
         result = classic_dh(DhParams(23, 5), PartySecret(1), PartySecret(1))
-        assert result.key_a.reveal() == 5 % 23
+        assert result.key_alice.reveal() == 5 % 23
 
     def test_exhaustive_small_prime(self):
         params = DhParams(23, 5)
@@ -101,7 +101,7 @@ class TestClassicDh:
             for b in range(1, 23):
                 result = classic_dh(params, PartySecret(a), PartySecret(b))
                 assert result.agreed
-                assert result.key_a.reveal() == result.key_b.reveal()
+                assert result.key_alice.reveal() == result.key_bob.reveal()
 
     def test_eve_view_is_exactly_the_public_data(self):
         result = classic_dh(DhParams(23, 5), PartySecret(6), PartySecret(15))
@@ -109,8 +109,8 @@ class TestClassicDh:
         assert view == {
             ("params.p", 23),
             ("params.g", 5),
-            ("share.alice", result.share_a),
-            ("share.bob", result.share_b),
+            ("share.alice", result.share_alice),
+            ("share.bob", result.share_bob),
         }
 
     def test_commutativity_sweep(self):
@@ -126,7 +126,7 @@ class TestClassicDh:
 class TestSharedKeyLifecycle:
     def test_reveal_once(self):
         result = classic_dh(DhParams(23, 5), PartySecret(3), PartySecret(4))
-        key = result.key_a
+        key = result.key_alice
         assert key.lifecycle == "live"
         key.reveal()
         assert key.lifecycle == "vanished"
@@ -135,9 +135,9 @@ class TestSharedKeyLifecycle:
 
     def test_render_hides_used_key(self):
         result = classic_dh(DhParams(23, 5), PartySecret(3), PartySecret(4))
-        assert result.key_a.render() != "<vanished>"
-        result.key_a.reveal()
-        assert result.key_a.render() == "<vanished>"
+        assert result.key_alice.render() != "<vanished>"
+        result.key_alice.reveal()
+        assert result.key_alice.render() == "<vanished>"
 
 
 class TestFlipConvention:
@@ -271,8 +271,8 @@ class TestPrivateExchange:
 class TestDeskScaleEve:
     def test_classic_exchange_falls_to_discrete_log(self):
         result = classic_dh(DhParams(23, 5), PartySecret(6), PartySecret(15))
-        cracked = crack_classic_dh(23, 5, result.share_a, result.share_b)
-        assert cracked == result.key_a.reveal()
+        cracked = crack_classic_dh(23, 5, result.share_alice, result.share_bob)
+        assert cracked == result.key_alice.reveal()
 
     def test_dlog_outside_subgroup_returns_none(self):
         # 2 generates a proper subgroup of (Z/7)*: {1, 2, 4}.
@@ -393,7 +393,7 @@ class TestArbitraryPrecision:
         a = random_secret(p, rng)
         b = random_secret(p, rng)
         result = classic_dh(DhParams(p, g), a, b)
-        key = result.key_a.reveal()
-        assert key == result.key_b.reveal()
+        key = result.key_alice.reveal()
+        assert key == result.key_bob.reveal()
         assert key == modexp(g, a.exponent * b.exponent, p)
         assert p.bit_length() == 128

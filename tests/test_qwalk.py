@@ -354,7 +354,7 @@ class TestSearch:
             side = math.isqrt(n)
             cap = sweep_step_cap(n)
             reference = success_probability_trace(torus_graph(n, marked={0}), cap)
-            for mark in sorted({1, side + 2, n // 2 + 1, n - side, n - 1}):
+            for mark in sorted({1, side, side + 2, n // 3, n // 2 + 1, n - side, n - 1}):
                 trace = success_probability_trace(torus_graph(n, marked={mark}), cap)
                 assert np.array_equal(trace, reference), (n, mark)
 

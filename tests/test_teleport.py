@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from qkeylab import teleport
 from qkeylab.errors import DomainError
-from qkeylab.qstate import StateVector, apply_gate, fidelity, new_basis_state, x, z
-from qkeylab.teleport import _bell_frame, teleport_index, teleport_state
+from qkeylab.qstate import StateVector, _apply, apply_gate, fidelity, new_basis_state, x, z
+from qkeylab.teleport import (
+    _BASIS_FRAMES,
+    _BELL_FRAME,
+    _bell_frame,
+    teleport_index,
+    teleport_state,
+)
 from oracles import measure_qubit, teleport_branches
 
 
@@ -182,3 +189,38 @@ class TestTeleportIndex:
             teleport_index(width - 1, width, rng)
             twin.random(3 * width)
             assert rng.random() == twin.random()
+
+
+class TestBasisFrames:
+    @pytest.mark.parametrize("width", [1, 2, 48, 4096])
+    def test_rows_equal_the_per_call_frame_stack(self, width):
+        # The one-hot payload stack run through the Bell frame gate by gate,
+        # for all-zero, all-one and random payloads.
+        pick = np.random.default_rng(width)
+        for bits in (np.zeros(width), np.ones(width), pick.integers(0, 2, width)):
+            bits = bits.astype(np.uint8)
+            amps = np.zeros((width, 8), dtype=complex)
+            amps[np.arange(width), bits] = 1.0
+            for gate in _BELL_FRAME:
+                amps = _apply(amps, gate)
+            assert _BASIS_FRAMES[bits].tobytes() == amps.tobytes()
+
+    def test_a_call_applies_only_the_corrections(self, monkeypatch):
+        calls = []
+
+        def counting(amps, gate):
+            calls.append(gate.kind)
+            return _apply(amps, gate)
+
+        monkeypatch.setattr(teleport, "_apply", counting)
+        rng = np.random.default_rng(3)
+        for width in (1, 8, 48):
+            calls.clear()
+            assert teleport_index(width - 1, width, rng)[0] == width - 1
+            assert calls == ["X", "Z"]
+
+    def test_frames_are_read_only(self):
+        assert _BASIS_FRAMES.shape == (2, 8)
+        assert not _BASIS_FRAMES.flags.writeable
+        with pytest.raises(ValueError):
+            _BASIS_FRAMES[0, 0] = 0.0
