@@ -1,6 +1,6 @@
 """qkeylab: a deterministic simulation lab for broadcast-based key agreement.
 
-Subpackages by concern:
+Modules by concern:
 
 * `qstate` - dense statevector simulation (the quantum backbone)
 * `teleport` - single-qubit teleportation and an exact integer side channel

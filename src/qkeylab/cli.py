@@ -412,7 +412,7 @@ def _run_density(config: ScenarioConfig, report: RunReport) -> None:
 def _run_prng(config: ScenarioConfig, report: RunReport) -> None:
     p = config.params
     curve = ecurve.select_curve(p["prng_seed"])
-    bits = ecurve.parity_prng(p["prng_seed"], p["bits"], curve)
+    bits = ecurve.parity_prng(p["prng_seed"], p["bits"])
     zero_fraction = float((bits == 0).mean())
     report.stat("prng_seed", p["prng_seed"])
     report.stat("curve_a", curve.a)

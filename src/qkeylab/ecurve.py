@@ -330,16 +330,15 @@ def select_curve(seed: int) -> Curve:
     raise ResourceError("no degree-6 curve found within the search budget")
 
 
-def parity_prng(seed: int, n_bits: int, curve: Curve | None = None) -> np.ndarray:
+def parity_prng(seed: int, n_bits: int) -> np.ndarray:
     """Deterministic bit stream: bit i is the trace parity at the i-th good
-    prime of a seed-selected degree-6 curve. Zeros appear with asymptotic
-    frequency 2/3 (ones 1/3)."""
+    prime of the degree-6 curve `select_curve(seed)`. Zeros appear with
+    asymptotic frequency 2/3 (ones 1/3)."""
     if n_bits < 1:
         raise DomainError(f"need n_bits >= 1, got {n_bits}")
     if n_bits > MAX_SCAN:
         raise ResourceError(f"stream length {n_bits} exceeds the cap {MAX_SCAN}")
-    if curve is None:
-        curve = select_curve(seed)
+    curve = select_curve(seed)
     chunks, filled = [], 0
     lo, hi = 0, max(100, int(1.3 * n_bits * (math.log(n_bits + 2) + 3)))
     while filled < n_bits:

@@ -14,6 +14,9 @@ eavesdropper view:
   window whose start slot is conveyed by teleportation against a public
   coarse slot schedule.
 
+`classic_dh` and `pq_dh` publish their shares and derive their keys through
+one Diffie-Hellman step; they differ only in the generators it raises.
+
 Both broadcast-based protocols begin with a ticking-qubit clock sync and
 start counting bits mid-bit-period, so they tolerate sync residue up to half
 a bit period. The sync opens a `BroadcastRun`, which carries the link, the
@@ -99,13 +102,16 @@ def flip_bit(value: int, index: int) -> int:
     return value ^ (1 << index)
 
 
-def modexp(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus (O(log exponent) multiplications)."""
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise DomainError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, modulus)
+def _dh_step(
+    transcript: Transcript, g_alice: int, g_bob: int, a: PartySecret, b: PartySecret, p: int
+) -> tuple[int, int, int, int]:
+    """Publish g_alice^a and g_bob^b mod p; each side raises the other's share to its
+    own exponent. Returns (share_alice, share_bob, key_alice, key_bob)."""
+    share_alice = pow(g_alice, a.exponent, p)
+    share_bob = pow(g_bob, b.exponent, p)
+    transcript.add("share.alice", "alice", "public", int_payload(share_alice))
+    transcript.add("share.bob", "bob", "public", int_payload(share_bob))
+    return share_alice, share_bob, pow(share_bob, a.exponent, p), pow(share_alice, b.exponent, p)
 
 
 # -- classic discrete-log exchange -------------------------------------------
@@ -129,12 +135,7 @@ def classic_dh(params: DhParams, a: PartySecret, b: PartySecret) -> DhResult:
     t = Transcript()
     t.add("params.p", "alice", "public", int_payload(params.p))
     t.add("params.g", "alice", "public", int_payload(params.g))
-    share_a = modexp(params.g, a.exponent, params.p)
-    share_b = modexp(params.g, b.exponent, params.p)
-    t.add("share.alice", "alice", "public", int_payload(share_a))
-    t.add("share.bob", "bob", "public", int_payload(share_b))
-    k_a = modexp(share_b, a.exponent, params.p)
-    k_b = modexp(share_a, b.exponent, params.p)
+    share_a, share_b, k_a, k_b = _dh_step(t, params.g, params.g, a, b, params.p)
     return DhResult(params, share_a, share_b, SharedKey(k_a), SharedKey(k_b), k_a == k_b, t)
 
 
@@ -299,12 +300,7 @@ def pq_dh(
         transcript.add("flip.retry", "alice", "public", b"")
 
     transcript.add("params.p", "alice", "public", int_payload(p))
-    share_alice = modexp(g1_alice, a.exponent, p)
-    share_bob = modexp(g1_bob, b.exponent, p)
-    transcript.add("share.alice", "alice", "public", int_payload(share_alice))
-    transcript.add("share.bob", "bob", "public", int_payload(share_bob))
-    k_alice = modexp(share_bob, a.exponent, p)
-    k_bob = modexp(share_alice, b.exponent, p)
+    share_alice, share_bob, k_alice, k_bob = _dh_step(transcript, g1_alice, g1_bob, a, b, p)
     return PqDhResult(
         key_alice=SharedKey(k_alice),
         key_bob=SharedKey(k_bob),
@@ -437,7 +433,7 @@ def crack_classic_dh(p: int, g: int, share_a: int, share_b: int) -> int:
     a = _discrete_log(p)(g, share_a)
     if a is None:
         raise DomainError("share is not a power of the announced base")
-    return modexp(share_b, a, p)
+    return pow(share_b, a, p)
 
 
 def pq_candidate_keys(p: int, share_a: int, share_b: int, width: int) -> list[int]:
@@ -457,4 +453,4 @@ def pq_candidate_keys(p: int, share_a: int, share_b: int, width: int) -> list[in
         raise ResourceError(f"width {width} exceeds the teleport cap {MAX_TELEPORT_BITS}")
     dlog = _discrete_log(p)
     logs = (dlog(g1, share_a) for g1 in range(1, min(1 << width, p)))
-    return sorted({modexp(share_b, e, p) for e in logs if e is not None})
+    return sorted({pow(share_b, e, p) for e in logs if e is not None})

@@ -40,7 +40,7 @@ from .clocksync import SYNC_N_BITS, SYNC_SHOTS_PER_BIT, SYNC_T_MAX_NS
 from .errors import DomainError, InternalError, ResourceError
 from .keyexchange import run_clock_sync
 from .teleport import MAX_TELEPORT_BITS
-from .transcript import Transcript
+from .transcript import SharedKey, Transcript
 
 # The largest graph a builder makes: the eve-qwalk key space at depth 16.
 # Walk time grows as N^1.5 (eve-qwalk --depth 16: 6.6-7.0 s on a 2-core VM).
@@ -309,8 +309,8 @@ def tree_walk_key(stream_bits: np.ndarray, operator_seed: int, depth: int) -> np
 
 @dataclass(frozen=True)
 class WalkAgreementResult:
-    key_alice: np.ndarray
-    key_bob: np.ndarray
+    key_alice: SharedKey
+    key_bob: SharedKey
     agreed: bool
     transcript: Transcript
     operator_seed: int
@@ -330,6 +330,7 @@ def walk_agreement(
     public, the operator seed rides the teleportation channel only. The
     clock sync runs the default ladder of the broadcast protocols (`SYNC_*`).
     A window longer than `MAX_TELEPORT_BITS` is refused before the sync.
+    Both keys are one-shot, as in the key exchanges.
     """
     depth = window.length
     if depth > MAX_TELEPORT_BITS:
@@ -343,8 +344,8 @@ def walk_agreement(
     key_alice = tree_walk_key(bits_alice, operator_seed, depth)
     key_bob = tree_walk_key(bits_bob, received_seed, depth)
     return WalkAgreementResult(
-        key_alice=key_alice,
-        key_bob=key_bob,
+        key_alice=SharedKey(key_alice),
+        key_bob=SharedKey(key_bob),
         agreed=run.settle(bool(np.array_equal(key_alice, key_bob))),
         transcript=run.transcript,
         operator_seed=operator_seed,

@@ -83,7 +83,7 @@ def test_criterion_02_diffie_hellman_correctness():
         b = keyexchange.random_secret(p, rng)
         result = keyexchange.classic_dh(keyexchange.DhParams(p, g), a, b)
         key = result.key_alice.reveal()
-        oracle = keyexchange.modexp(g, a.exponent * b.exponent, p)
+        oracle = pow(g, a.exponent * b.exponent, p)
         if key != result.key_bob.reveal() or key != oracle:
             random_ok = False
     ok = exhaustive_ok and example_ok and random_ok

@@ -375,7 +375,7 @@ class TestParityPrng:
 
     def test_bits_match_trace_parities(self):
         curve = select_curve(4)
-        bits = parity_prng(4, 40, curve)
+        bits = parity_prng(4, 40)
         disc = curve.discriminant
         expected = []
         for p in primes_up_to(10_000).tolist():

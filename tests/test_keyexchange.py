@@ -12,18 +12,18 @@ from qkeylab.keyexchange import (
     classic_dh,
     crack_classic_dh,
     flip_bit,
-    modexp,
     pq_candidate_keys,
     pq_dh,
     private_exchange,
     random_prime,
 )
+from qkeylab.qwalk import walk_agreement
 from qkeylab.transcript import int_payload
 from qkeylab.numtheory import is_probable_prime
 from oracles import brute_force_dlog
 
 
-def modexp_oracle(base, exponent, modulus):
+def pow_oracle(base, exponent, modulus):
     # Independent check: plain repeated multiplication.
     result = 1
     for _ in range(exponent):
@@ -38,28 +38,23 @@ def make_link(bitrate=1e6, distance_b=299_792.458, offset_b=40_000.0):
     return source, alice, bob
 
 
-class TestModexp:
-    def test_worked_examples_against_oracle(self):
-        assert modexp(5, 6, 23) == modexp_oracle(5, 6, 23) == 8
-        assert modexp(5, 15, 23) == modexp_oracle(5, 15, 23) == 19
-
-    def test_zero_exponent(self):
-        assert modexp(5, 0, 23) == 1
+class TestDhArithmetic:
+    def test_worked_example_against_oracle(self):
+        result = classic_dh(DhParams(23, 5), PartySecret(6), PartySecret(15))
+        assert result.share_alice == pow_oracle(5, 6, 23) == 8
+        assert result.share_bob == pow_oracle(5, 15, 23) == 19
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        base=st.integers(min_value=0, max_value=10_000),
-        exponent=st.integers(min_value=0, max_value=400),
-        modulus=st.integers(min_value=2, max_value=10_000),
-    )
-    def test_matches_repeated_multiplication(self, base, exponent, modulus):
-        assert modexp(base, exponent, modulus) == modexp_oracle(base, exponent, modulus)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            modexp(2, 3, 1)
-        with pytest.raises(DomainError):
-            modexp(2, -1, 5)
+    @given(data=st.data(), p=st.sampled_from([q for q in range(3, 400) if is_probable_prime(q)]))
+    def test_matches_repeated_multiplication(self, data, p):
+        g = data.draw(st.integers(min_value=1, max_value=p - 1), label="g")
+        a = data.draw(st.integers(min_value=1, max_value=p - 1), label="a")
+        b = data.draw(st.integers(min_value=1, max_value=p - 1), label="b")
+        result = classic_dh(DhParams(p, g), PartySecret(a), PartySecret(b))
+        assert result.share_alice == pow_oracle(g, a, p)
+        assert result.share_bob == pow_oracle(g, b, p)
+        assert result.key_alice.reveal() == pow_oracle(result.share_bob, a, p)
+        assert result.key_bob.reveal() == pow_oracle(result.share_alice, b, p)
 
 
 class TestParams:
@@ -113,15 +108,6 @@ class TestClassicDh:
             ("share.bob", result.share_bob),
         }
 
-    def test_commutativity_sweep(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            p = random_prime(16, rng)
-            g = int(rng.integers(2, p - 1))
-            a = int(rng.integers(1, p))
-            b = int(rng.integers(1, p))
-            assert modexp(modexp(g, a, p), b, p) == modexp(modexp(g, b, p), a, p)
-
 
 class TestSharedKeyLifecycle:
     def test_reveal_once(self):
@@ -132,6 +118,25 @@ class TestSharedKeyLifecycle:
         assert key.lifecycle == "vanished"
         with pytest.raises(LifecycleError):
             key.reveal()
+
+    @pytest.mark.parametrize(
+        "exchange", ["classic_dh", "pq_dh", "private_exchange", "walk_agreement"]
+    )
+    def test_every_exchange_reveals_each_key_once(self, exchange):
+        source, alice, bob = make_link()
+        window, rng = KeyWindow(2e9, 16), np.random.default_rng(1)
+        a, b = PartySecret(3), PartySecret(4)
+        run = {
+            "classic_dh": lambda: classic_dh(DhParams(23, 5), a, b),
+            "pq_dh": lambda: pq_dh(source, alice, bob, window, 65_521, a, b, rng),
+            "private_exchange": lambda: private_exchange(source, alice, bob, window, rng),
+            "walk_agreement": lambda: walk_agreement(alice, bob, source, window, rng),
+        }[exchange]
+        result = run()
+        for key in (result.key_alice, result.key_bob):
+            key.reveal()
+            with pytest.raises(LifecycleError):
+                key.reveal()
 
     def test_render_hides_used_key(self):
         result = classic_dh(DhParams(23, 5), PartySecret(3), PartySecret(4))
@@ -304,7 +309,7 @@ def candidate_keys_over_every_generator(p, share_a, share_b, width):
         e = brute_force_dlog(p, g1 % p, share_a)
         if e is None:
             continue
-        keys.add(modexp(share_b, e, p))
+        keys.add(pow(share_b, e, p))
     return sorted(keys)
 
 
@@ -336,7 +341,7 @@ class TestLogTable:
                         with pytest.raises(DomainError, match="not a power"):
                             crack_classic_dh(p, g, share_a, share_b)
                     else:
-                        assert crack_classic_dh(p, g, share_a, share_b) == modexp(share_b, e, p)
+                        assert crack_classic_dh(p, g, share_a, share_b) == pow(share_b, e, p)
 
     @pytest.mark.parametrize(
         "seed,p,width", [(6, 23, 5), (7, 101, 8), (8, 11, 6), (9, 257, 10), (10, 23, 3)]
@@ -395,5 +400,5 @@ class TestArbitraryPrecision:
         result = classic_dh(DhParams(p, g), a, b)
         key = result.key_alice.reveal()
         assert key == result.key_bob.reveal()
-        assert key == modexp(g, a.exponent * b.exponent, p)
+        assert key == pow(g, a.exponent * b.exponent, p)
         assert p.bit_length() == 128

@@ -412,9 +412,10 @@ class TestWalkAgreement:
     def test_matched_run_agrees(self):
         source, alice, bob = self.make_link()
         result = walk_agreement(alice, bob, source, KeyWindow(2e9, 24), np.random.default_rng(2))
+        key_alice, key_bob = result.key_alice.reveal(), result.key_bob.reveal()
         assert result.agreed
-        assert np.array_equal(result.key_alice, result.key_bob)
-        assert len(result.key_alice) == 24
+        assert np.array_equal(key_alice, key_bob)
+        assert len(key_alice) == 24
 
     def test_operator_seed_not_in_eve_view(self):
         source, alice, bob = self.make_link()
@@ -449,8 +450,8 @@ class TestWalkAgreement:
                 )
                 mismatched += not result.agreed
                 digest.update(result.transcript.render().encode())
-                digest.update(result.key_alice.tobytes())
-                digest.update(result.key_bob.tobytes())
+                digest.update(result.key_alice.reveal().tobytes())
+                digest.update(result.key_bob.reveal().tobytes())
                 digest.update(
                     f"{result.operator_seed} {result.sync_error_ns!r} {result.agreed}".encode()
                 )

@@ -194,13 +194,14 @@ class TestParityStream:
             for k in (1, 7, 256, 1000, 2999):
                 assert np.array_equal(parity_prng(seed, k), full[:k]), (seed, k)
 
-    def test_widens_past_bad_primes(self):
+    def test_widens_past_bad_primes(self, monkeypatch):
         # Every prime in (3, 83] divides the discriminant, so the first
         # stretch, (3, 100], yields only the bits at 89 and 97; the stream
         # continues past 100 without repeating them.
         q = math.prod(primes_up_to(83)[2:].tolist())
         curve = Curve(3 * q, q)  # discriminant 27 q^2 (4q + 1)
-        bits = parity_prng(0, 12, curve)
+        monkeypatch.setattr(ecurve, "select_curve", lambda seed: curve)
+        bits = parity_prng(0, 12)
         primes = good_primes(curve, 1000)[:12]
         assert primes[:3].tolist() == [89, 97, 101]
         assert bits.tolist() == [int(not even) for even in table_parity_is_even(curve, primes)]
