@@ -13,7 +13,8 @@ digits resolved.
 Phase readout uses two measurement bases (cosine and sine quadratures) so
 the estimate lands in the correct half-plane. Every rung's two readout
 circuits run as one stack through the qstate kernels, which gives one P(1)
-table per ladder; each rung then draws its own shots, cosine before sine.
+table per ladder. Shots come as one row of draws per rung, cosine before sine,
+drawn a chunk of rungs at a time: the same stream as two draws per rung.
 """
 from __future__ import annotations
 
@@ -32,8 +33,9 @@ TWO_PI = 2.0 * math.pi
 SYNC_N_BITS = 14
 SYNC_T_MAX_NS = 1.6384e6
 SYNC_SHOTS_PER_BIT = 100
-# Each rung draws its shots as one float64 array of this length.
 MAX_SHOTS_PER_BIT = 1 << 20
+# Every draw refills one buffer of at most this many float64 shots (8 MB), or one rung if more.
+_SHOT_CHUNK = MAX_SHOTS_PER_BIT
 MAX_SYNC_BITS = 52  # a double resolves no finer rung of the offset ladder
 
 
@@ -98,10 +100,16 @@ def ticking_qubit_sync(
     p1 = _ladder_p1(phis)
     m_cos = shots_per_bit // 2
     m_sin = shots_per_bit - m_cos
+    rows = max(1, _SHOT_CHUNK // shots_per_bit)
+    chunk_draws = np.empty((min(rows, n_bits), shots_per_bit))
+    ones = np.empty((n_bits, 2), dtype=np.int64)
+    for top in range(0, n_bits, rows):
+        draws = rng.random(out=chunk_draws[: n_bits - top])
+        chunk = p1[top : top + rows]
+        ones[top : top + rows, 0] = (draws[:, :m_cos] < chunk[:, :1]).sum(axis=1)
+        ones[top : top + rows, 1] = (draws[:, m_cos:] < chunk[:, 1:]).sum(axis=1)
     delta_est = 0.0
-    for k in range(n_bits):
-        ones_cos = int((rng.random(m_cos) < p1[k, 0]).sum())
-        ones_sin = int((rng.random(m_sin) < p1[k, 1]).sum())
+    for k, (ones_cos, ones_sin) in enumerate(ones.tolist()):
         cos_est = 1.0 - 2.0 * ones_cos / m_cos
         sin_est = 1.0 - 2.0 * ones_sin / m_sin
         turns = math.atan2(sin_est, cos_est) / TWO_PI  # phi / (2 pi) in [-1/2, 1/2)

@@ -11,8 +11,9 @@ Every run starts from one circuit, the Bell frame: it makes the pair and
 rotates qubits 0 and 1 so that the joint measurement reads them in the
 computational basis. One sampler, `_measure`, collapses qubit 1, then qubit
 0, of a stack of frames and corrects each receiver. `teleport_state` runs it
-on a stack of one; `teleport_index` on one stack holding every bit of an
-integer, each row gathered from `_BASIS_FRAMES`, built once at import.
+on a stack of one. `teleport_index` compares its draws with 14 P(1) thresholds,
+which `_measure` leaves at import on every branch of `_BASIS_FRAMES`, the frames
+of |0> and |1>; its twin in `tests/oracles.py` samples those frames as a stack.
 """
 from __future__ import annotations
 
@@ -21,9 +22,11 @@ import numpy as np
 from .errors import DomainError, InternalError, ResourceError
 from .qstate import (
     _NORM_ATOL,
+    _ZERO_BRANCH,
     StateVector,
     _apply,
     _collapse,
+    _p1,
     apply_gate,
     cnot,
     h,
@@ -32,7 +35,7 @@ from .qstate import (
     z,
 )
 
-# teleport_index holds a few (bit_width, 8) complex arrays: 128 B per bit each.
+# teleport_index holds (bit_width, 3) float64 draws and a few 1-D arrays: < 64 B per bit.
 MAX_TELEPORT_BITS = 1 << 16
 
 _BELL_FRAME = (h(1), cnot(1, 2), cnot(0, 1), h(0))
@@ -78,6 +81,24 @@ def _measure(frames: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
     return bit_z, bit_x, _correct(receivers, bit_z, bit_x)
 
 
+def _branch_thresholds(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(1) of qubit 1 by payload, of qubit 0 by 2*payload + bit_x and of the corrected
+    receiver by 4*payload + 2*bit_x + bit_z, on a (2, 8) stack of payload frames. Draws of
+    2.0 and -1.0 force each reading; a drawable branch below _ZERO_BRANCH is refused."""
+    payload, bit_x, bit_z = np.indices((2, 2, 2)).reshape(3, 8)
+    forced = np.array([2.0, -1.0])[np.stack((bit_x, bit_z), axis=1)]
+    _, _, after_x = _collapse(frames[payload], 1, forced[:, 0])
+    _, _, receivers = _measure(frames[payload], forced)
+    thresholds = _p1(frames, 1), _p1(after_x, 0)[::2], _p1(receivers, 0)
+    branch = np.concatenate([*thresholds, *(1.0 - t for t in thresholds)])
+    if ((0.0 < branch) & (branch < _ZERO_BRANCH)).any():
+        raise InternalError(f"a teleport branch has probability {branch[branch > 0].min()}")
+    return thresholds
+
+
+_QUBIT1_P1, _QUBIT0_P1, _READOUT_P1 = _branch_thresholds(_BASIS_FRAMES)
+
+
 def teleport_state(
     input_state: StateVector, rng: np.random.Generator
 ) -> tuple[tuple[int, int], StateVector]:
@@ -94,11 +115,10 @@ def teleport_index(
 ) -> tuple[int, np.ndarray]:
     """Convey the integer n exactly by teleporting bit_width basis-state qubits.
 
-    Bit k of n (LSB-0) rides qubit k's run. All runs go through `_measure`
-    as one (bit_width, 8) stack of frames gathered from `_BASIS_FRAMES`.
-    The draws are `rng.random((bit_width, 3))`: row k holds bit k's qubit-1
-    draw, its qubit-0 draw and the receiver's readout draw, the order of
-    `teleport_state` followed by a readout of the replica, bit by bit.
+    Bit k of n (LSB-0) rides qubit k's run. The draws are `rng.random((bit_width, 3))`:
+    row k holds bit k's qubit-1 draw, its qubit-0 draw and the receiver's readout draw,
+    the order of `teleport_state` followed by a readout of the replica, bit by bit, and
+    each is compared with its branch's threshold, the P(1) `_measure` computes there.
     Each teleported qubit is measured on the receiving side after correction,
     so the reassembled integer equals n whenever every single-qubit run has
     unit fidelity, which it does here. bit_width is capped at
@@ -116,7 +136,8 @@ def teleport_index(
     draws = rng.random((bit_width, 3))
     n_bytes = np.frombuffer(n.to_bytes((bit_width + 7) // 8, "little"), np.uint8)
     bits = np.unpackbits(n_bytes, bitorder="little")[:bit_width]
-    bit_z, bit_x, receiver = _measure(_BASIS_FRAMES[bits], draws)
-    received, _, _ = _collapse(receiver, 0, draws[:, 2])
+    bit_x = draws[:, 0] < _QUBIT1_P1[bits]
+    bit_z = draws[:, 1] < _QUBIT0_P1[2 * bits + bit_x]
+    received = draws[:, 2] < _READOUT_P1[4 * bits + 2 * bit_x + bit_z]
     value = int.from_bytes(np.packbits(received, bitorder="little").tobytes(), "little")
     return value, np.stack((bit_z, bit_x), axis=1).astype(np.uint8)

@@ -25,6 +25,10 @@ compare the two bit for bit:
 * `teleport_branches`: all four measurement branches of a teleport run,
   read off the Bell frame without sampling and keyed by the (bit_z, bit_x)
   tuple that `teleport.teleport_state` returns, the exact view of that run.
+* `stacked_teleport_index`: every bit of an integer teleported as one stack
+  of basis-state frames through `teleport._measure`, then read out with
+  `qstate._collapse`: the twin of the threshold table behind
+  `teleport.teleport_index`.
 * `CoinedWalkState`, `uniform_superposition`, `position_probabilities` and
   `step`: the complex walk, a unit-norm state checked at every step, its
   uniform start, its position marginal and one coin-then-shift step. Looped,
@@ -139,6 +143,20 @@ def teleport_branches(input_state: StateVector):
             after = StateVector(1, teleport._correct(before.amplitudes, bit_z, bit_x))
             branches.append(((bit_z, bit_x), prob, before, after))
     return tuple(branches)
+
+
+def stacked_teleport_index(n: int, bit_width: int, rng: np.random.Generator):
+    """`teleport.teleport_index` on valid arguments, sampled through the kernels:
+    `_measure` on bit_width rows gathered from `teleport._BASIS_FRAMES`, then one
+    collapse of each corrected receiver. Returns the received integer and the
+    (bit_width, 2) uint8 rows of (bit_z, bit_x)."""
+    draws = rng.random((bit_width, 3))
+    n_bytes = np.frombuffer(n.to_bytes((bit_width + 7) // 8, "little"), np.uint8)
+    bits = np.unpackbits(n_bytes, bitorder="little")[:bit_width]
+    bit_z, bit_x, receiver = teleport._measure(teleport._BASIS_FRAMES[bits], draws)
+    received, _, _ = qstate._collapse(receiver, 0, draws[:, 2])
+    value = int.from_bytes(np.packbits(received, bitorder="little").tobytes(), "little")
+    return value, np.stack((bit_z, bit_x), axis=1).astype(np.uint8)
 
 
 # -- qwalk -----------------------------------------------------------------------

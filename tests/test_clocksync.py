@@ -160,15 +160,15 @@ def per_rung_sync(true_delta_ns, n_bits, t_max_ns, shots_per_bit, rng):
     return SyncResult(delta_estimate_ns=delta_est, qubits_used=n_bits * shots_per_bit)
 
 
-@pytest.mark.parametrize(
-    "n_bits, shots, t_max_ns",
-    [
-        (SYNC_N_BITS, 100, SYNC_T_MAX_NS),
-        (20, 37, SYNC_T_MAX_NS),  # odd shots: one more sine shot than cosine
-        (1, 2, SYNC_T_MAX_NS),
-        (52, 3, 2.0**60),  # the rung cap
-    ],
-)
+LADDER_SHAPES = [
+    (SYNC_N_BITS, 100, SYNC_T_MAX_NS),
+    (20, 37, SYNC_T_MAX_NS),  # odd shots: one more sine shot than cosine
+    (1, 2, SYNC_T_MAX_NS),
+    (52, 3, 2.0**60),  # the rung cap
+]
+
+
+@pytest.mark.parametrize("n_bits, shots, t_max_ns", LADDER_SHAPES)
 def test_batched_ladder_equals_the_per_rung_ladder(n_bits, shots, t_max_ns):
     # Same estimate and same generator state afterwards: the per-rung draws
     # keep their order, cosine shots before sine shots. 253 offsets per shape,
@@ -182,3 +182,12 @@ def test_batched_ladder_equals_the_per_rung_ladder(n_bits, shots, t_max_ns):
             delta, n_bits, t_max_ns, shots, slow
         )
         assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("chunk", [7, 250])
+@pytest.mark.parametrize("n_bits, shots, t_max_ns", LADDER_SHAPES)
+def test_chunked_ladder_equals_the_per_rung_ladder(monkeypatch, chunk, n_bits, shots, t_max_ns):
+    # 7 doubles hold less than one rung of most shapes, so each draw is one rung;
+    # 250 hold 2 to 83 rungs, and 20 rungs of 37 shots end on a short chunk.
+    monkeypatch.setattr(clocksync, "_SHOT_CHUNK", chunk)
+    test_batched_ladder_equals_the_per_rung_ladder(n_bits, shots, t_max_ns)

@@ -1,9 +1,11 @@
 """Size caps on primes and moduli, stream reads, storage spans, sync ladders, teleported
 integers and flip indices, bit conversions, slot schedules, walk graphs and key grids,
-searches, traces and sweeps, the desk-scale eavesdropper's moduli and widths, and the
-stream-position checks on receiver geometry and stored indices."""
+searches, traces and sweeps, the desk-scale eavesdropper's moduli and widths, the
+stream-position checks on receiver geometry and stored indices, and the size and number
+of the draws behind one sync ladder or one teleported integer."""
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,18 @@ class RefusingGenerator:
             raise AssertionError(f"rng.{name} called past the cap")
 
         return refuse
+
+
+class RecordingGenerator:
+    """Wraps numpy's Generator and records the number of doubles of every `random` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.requests = []
+
+    def random(self, size=None, out=None):
+        self.requests.append(int(np.prod(size if out is None else out.shape)))
+        return self.rng.random(size, out=out)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,6 +126,30 @@ def test_sync_ladder_runs_at_its_cap():
     assert math.isfinite(result.delta_estimate_ns)
 
 
+def test_sync_ladder_at_both_caps_draws_in_bounded_chunks():
+    rungs, shots = clocksync.MAX_SYNC_BITS, clocksync.MAX_SHOTS_PER_BIT
+    rng = RecordingGenerator(3)
+    tracemalloc.start()
+    try:
+        result = ticking_qubit_sync(1e3, rungs, 1e6, shots, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(result.delta_estimate_ns)
+    assert sum(rng.requests) == rungs * shots
+    assert max(rng.requests) <= clocksync.MAX_SHOTS_PER_BIT
+    # One chunk of draws (8 MB) and its two masks (1 MB). A second live chunk
+    # would pass 16 MB; a (rungs, shots) matrix of draws, thresholds or masks
+    # would hold 54 to 436 MB.
+    assert peak < 12 * clocksync.MAX_SHOTS_PER_BIT
+
+
+def test_default_sync_ladder_draws_once():
+    rng = RecordingGenerator(4)
+    ticking_qubit_sync(1234.5, clocksync.SYNC_N_BITS, clocksync.SYNC_T_MAX_NS, 100, rng)
+    assert rng.requests == [clocksync.SYNC_N_BITS * 100]
+
+
 def _link():
     source = BroadcastSource(seed=7, bitrate=1e6)
     return source, Receiver("alice", 0.0, Clock(0.0)), Receiver("bob", 0.0, Clock(0.0))
@@ -124,6 +162,13 @@ def test_teleport_width_cap_fires_before_drawing():
     value, outcomes = teleport_index(n, teleport.MAX_TELEPORT_BITS, np.random.default_rng(4))
     assert value == n
     assert outcomes.shape == (teleport.MAX_TELEPORT_BITS, 2)
+
+
+def test_teleport_index_draws_once_per_call():
+    for width in (1, 48, teleport.MAX_TELEPORT_BITS):
+        rng = RecordingGenerator(width)
+        assert teleport_index(width - 1, width, rng)[0] == width - 1
+        assert rng.requests == [3 * width]
 
 
 def test_pq_dh_window_past_the_teleport_cap_fires_before_the_sync():

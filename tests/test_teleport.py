@@ -2,16 +2,25 @@ import numpy as np
 import pytest
 
 from qkeylab import teleport
-from qkeylab.errors import DomainError
+from qkeylab.errors import DomainError, InternalError
 from qkeylab.qstate import StateVector, _apply, apply_gate, fidelity, new_basis_state, x, z
 from qkeylab.teleport import (
     _BASIS_FRAMES,
     _BELL_FRAME,
+    _QUBIT0_P1,
+    _QUBIT1_P1,
+    _READOUT_P1,
     _bell_frame,
+    _branch_thresholds,
     teleport_index,
     teleport_state,
 )
-from oracles import measure_qubit, teleport_branches
+from oracles import (
+    measure_qubit,
+    measurement_probabilities,
+    stacked_teleport_index,
+    teleport_branches,
+)
 
 
 def per_state_teleport(input_state, rng):
@@ -205,22 +214,131 @@ class TestBasisFrames:
                 amps = _apply(amps, gate)
             assert _BASIS_FRAMES[bits].tobytes() == amps.tobytes()
 
-    def test_a_call_applies_only_the_corrections(self, monkeypatch):
-        calls = []
+    def test_a_call_runs_no_qstate_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("teleport_index ran a qstate kernel")
 
-        def counting(amps, gate):
-            calls.append(gate.kind)
-            return _apply(amps, gate)
-
-        monkeypatch.setattr(teleport, "_apply", counting)
+        for kernel in ("_apply", "_collapse", "_p1"):
+            monkeypatch.setattr(teleport, kernel, refuse)
         rng = np.random.default_rng(3)
         for width in (1, 8, 48):
-            calls.clear()
             assert teleport_index(width - 1, width, rng)[0] == width - 1
-            assert calls == ["X", "Z"]
 
     def test_frames_are_read_only(self):
         assert _BASIS_FRAMES.shape == (2, 8)
         assert not _BASIS_FRAMES.flags.writeable
         with pytest.raises(ValueError):
             _BASIS_FRAMES[0, 0] = 0.0
+
+
+class ScriptedGenerator:
+    """Hands out the given draws in order. A draw of 2.0 always reads 0 and one of -1.0
+    always reads 1, so a run takes the branch the script names."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+READS = (2.0, -1.0)
+
+
+def per_state_thresholds(payload_bit):
+    """The thresholds of one payload from the per-state twins: P(1) of the frame's qubit 1,
+    of qubit 0 after each qubit-1 reading, and of the replica of each branch of
+    `per_state_teleport`, in the table's order (bit_x, then bit_z)."""
+    payload = new_basis_state(1, payload_bit)
+    frame = _bell_frame(payload)
+    qubit1 = [measurement_probabilities(frame, 1)[1]]
+    qubit0, readout = [], []
+    for bit_x in (0, 1):
+        _, after_x = measure_qubit(frame, 1, ScriptedGenerator(READS[bit_x]))
+        qubit0.append(measurement_probabilities(after_x, 0)[1])
+        for bit_z in (0, 1):
+            outcome, replica = per_state_teleport(payload, ScriptedGenerator(READS[bit_x], READS[bit_z]))
+            assert outcome == (bit_z, bit_x)
+            readout.append(measurement_probabilities(replica, 0)[1])
+    return qubit1, qubit0, readout
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBranchThresholds:
+    def test_thresholds_equal_the_per_state_runs(self):
+        for payload_bit in (0, 1):
+            qubit1, qubit0, readout = per_state_thresholds(payload_bit)
+            assert hexes(_QUBIT1_P1[payload_bit : payload_bit + 1]) == hexes(qubit1)
+            assert hexes(_QUBIT0_P1[2 * payload_bit : 2 * payload_bit + 2]) == hexes(qubit0)
+            assert hexes(_READOUT_P1[4 * payload_bit : 4 * payload_bit + 4]) == hexes(readout)
+
+    def test_thresholds_are_pinned(self):
+        # Not round: a |1> bit arrives as 0 on branch (0, 0) with probability 1.6e-15.
+        assert hexes(_QUBIT1_P1) == ["0x1.ffffffffffffcp-2"] * 2
+        assert hexes(_QUBIT0_P1) == hexes([0.4999999999999996, 0.5000000000000001] * 2)
+        assert hexes(_READOUT_P1) == hexes([0.0] * 4 + [0.9999999999999984, 1.0, 1.0, 1.0])
+
+    def test_thresholds_are_the_exact_branches_to_rounding(self):
+        # teleport_branches normalizes each branch once, off the unsampled frame,
+        # so it reads the same probabilities up to the last few bits.
+        for payload_bit in (0, 1):
+            branch = {
+                outcome: (probability, after.amplitudes)
+                for outcome, probability, _, after in teleport_branches(new_basis_state(1, payload_bit))
+            }
+            qubit1 = branch[0, 1][0] + branch[1, 1][0]
+            assert _QUBIT1_P1[payload_bit] == pytest.approx(qubit1, rel=0, abs=2e-15)
+            for bit_x in (0, 1):
+                qubit0 = branch[1, bit_x][0] / (branch[0, bit_x][0] + branch[1, bit_x][0])
+                assert _QUBIT0_P1[2 * payload_bit + bit_x] == pytest.approx(qubit0, rel=0, abs=2e-15)
+                for bit_z in (0, 1):
+                    readout = abs(branch[bit_z, bit_x][1][1]) ** 2
+                    got = _READOUT_P1[4 * payload_bit + 2 * bit_x + bit_z]
+                    assert got == pytest.approx(readout, rel=0, abs=2e-15)
+
+    def test_a_one_bit_reads_0_only_on_branch_0_0_past_its_threshold(self):
+        # Rows 0-3 take branches (bit_x, bit_z) = (0, 0), (0, 1), (1, 0), (1, 1) of a
+        # |1> payload with a readout draw of 1 - 1e-15, above 0.9999999999999984 and
+        # below 1.0; rows 4-7 repeat them with a readout draw of 0.5.
+        first = [[0.75, 0.75], [0.75, 0.25], [0.25, 0.75], [0.25, 0.25]] * 2
+        draws = np.column_stack([first, [1 - 1e-15] * 4 + [0.5] * 4])
+
+        class FixedDraws:
+            def random(self, size):
+                assert size == draws.shape
+                return draws.copy()
+
+        value, outcomes = teleport_index(0xFF, 8, FixedDraws())
+        assert value == 0xFE
+        assert outcomes.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]] * 2
+        twin_value, twin_outcomes = stacked_teleport_index(0xFF, 8, FixedDraws())
+        assert (value, outcomes.tobytes()) == (twin_value, twin_outcomes.tobytes())
+
+    @pytest.mark.parametrize("weight", [1e-16, 1 - 1e-16])
+    def test_a_drawable_branch_below_the_refusal_is_refused(self, weight):
+        # The second payload's replica reads 1 with probability about `weight`: a
+        # branch within 1e-15 of 0 or 1, yet not exactly 0, could be drawn.
+        payload = StateVector(1, np.array([np.sqrt(1 - weight), np.sqrt(weight)]))
+        frames = np.stack([_BASIS_FRAMES[0], _bell_frame(payload).amplitudes])
+        with pytest.raises(InternalError, match="teleport branch"):
+            _branch_thresholds(frames)
+
+    def test_table_equals_the_stacked_twin(self):
+        # Value, outcome bytes, dtype, shape and the generator's next draw, for
+        # all-zero, all-one and random integers at widths 1-199, 1 024 and the cap.
+        for width in [*range(1, 200), 1024, teleport.MAX_TELEPORT_BITS]:
+            pick = np.random.default_rng(20_000 + width)
+            random_n = int.from_bytes(pick.bytes((width + 7) // 8), "little") % (1 << width)
+            for case, n in enumerate((0, (1 << width) - 1, random_n)):
+                seed = 3 * width + case
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                value, outcomes = teleport_index(n, width, fast)
+                twin_value, twin_outcomes = stacked_teleport_index(n, width, slow)
+                assert value == twin_value == n
+                assert outcomes.dtype == twin_outcomes.dtype == np.uint8
+                assert outcomes.shape == twin_outcomes.shape == (width, 2)
+                assert outcomes.tobytes() == twin_outcomes.tobytes()
+                assert fast.random() == slow.random()
