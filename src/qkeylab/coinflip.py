@@ -215,7 +215,7 @@ def run_session(
         raise DomainError(f"need max_rounds >= 1, got {max_rounds}")
     session = alice_setup(B, k, rng, challenge_factor)
     transcript = Transcript()
-    commitment = ",".join(str(v) for v in session.commitment.values.tolist())
+    commitment = ",".join([str(v) for v in session.commitment.values.tolist()])
     transcript.add("commit", "alice", "public", commitment.encode())
     verdict = UNDECIDED
     for _ in range(max_rounds):

@@ -11,7 +11,11 @@ dtype, so any good prime is exact. Only the coefficients a(p) of the
 sequence a(1..m) need exact counts: `_affine_counts`, the one point-count
 kernel, counts the affine points of the cubic at every odd prime <= m at
 once, in blocks of consecutive primes that share one quadratic-residue table
-pass, and a(p) = p - count at good and bad primes alike. The remaining
+pass, and a(p) = p - count at good and bad primes alike. The parts of a block
+that do not depend on the curve (x, x^2 mod p and the square counts) are
+built on first use and kept, up to `_COUNT_TABLE_BYTES` = 2 MB, beside the
+memo of sequences (at most 32 MB), so a run of curves over the same primes
+builds them once. The remaining
 pieces are the splitting-degree classification of the cubic over the
 rationals, parity-density scans, and a deterministic parity-stream generator
 whose zero frequency tends to 2/3.
@@ -36,8 +40,15 @@ _ODD_SAMPLE_CAP = 32
 MAX_SCAN = 10**6  # largest prime bound of a parity scan and length of a parity stream
 MAX_TABLE_PRIME = 1 << 22  # largest coin-flip challenge prime: the bound of the challenge sieve
 MAX_ZETA_LENGTH = 1 << 16  # a(1..m) costs ~m^2 / log m; m = 6^7 took minutes
-_ZETA_MEMO = 64  # coefficient sequences kept by `zeta_coefficients`
-_COUNT_BLOCK = 1 << 13  # (p, x) pairs per block of `_affine_counts`: 64 kB per int64 array
+_ZETA_MEMO = 64  # coefficient sequences kept by `zeta_coefficients`: at most 32 MB
+_COUNT_BLOCK = 1 << 13  # (p, x) pairs per block of `_affine_counts`: 64 kB per int64 array, 40 kB held
+# Bytes of block tables `_count_tables` keeps beside the memo's 32 MB, never
+# evicted: 5 B per (p, x) pair (int16 x and x^2 mod p, int8 square counts) in
+# a block of at most 2^15 pairs, 9 B above. 2 MB holds every odd prime up to
+# 2 473, so each block of m = 512 and m = 1 728; a block past it is built for
+# its one call.
+_COUNT_TABLE_BYTES = 1 << 21
+_SCALAR_COEFFS = 1 << 31  # |a|, |b| below it enter the count as ints: (x^2 + a) x + b stays below 2^48
 _SELECT_BOUND = 16  # select_curve draws a and b from [-16, 16]
 _SELECT_BUDGET = 10_000  # draws select_curve makes before it gives up
 
@@ -136,7 +147,9 @@ def zeta_coefficients(curve: Curve, m: int) -> ZetaCoeffs:
     m is capped at `MAX_ZETA_LENGTH` = 2^16. Each sequence is computed once
     per process and shared: `values` is a read-only array (copy it to change
     it). The memo keeps the last `_ZETA_MEMO` = 64 sequences, at most
-    64 * 2^16 * 8 B = 32 MB.
+    64 * 2^16 * 8 B = 32 MB. The count's curve-independent block tables are
+    kept too, up to `_COUNT_TABLE_BYTES` = 2 MB, so a fresh sequence over
+    primes seen before builds none of them.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
@@ -155,10 +168,14 @@ def _affine_counts(curve: Curve, primes: np.ndarray) -> np.ndarray:
     so no int64 array exceeds 64 kB; a larger prime is a block of its own.
     In the same layout, points[start + v] is the number of y with y^2 = v
     mod p: 2 at the nonzero squares x^2, 1 at 0. Each prime's count is the
-    sum of points[start + f(x)]; (x^2 + a) x + b is below 2p^2 before its one
-    reduction, so int64 is exact.
+    sum of points[start + f(x)], with f(x) = (x^2 + a) x + b reduced once.
+    x, x^2 mod p and `points` depend only on the block's primes, so they come
+    from `_count_tables`, which holds at most `_COUNT_TABLE_BYTES` = 2 MB of
+    them. a and b enter as ints below `_SCALAR_COEFFS` = 2^31, so f(x) stays
+    below 2^48, and as residues mod p otherwise: int64 is exact either way.
     """
-    a, b = _residues(curve.a, primes), _residues(curve.b, primes)
+    residues = max(abs(curve.a), abs(curve.b)) >= _SCALAR_COEFFS
+    a, b = (_residues(curve.a, primes), _residues(curve.b, primes)) if residues else (curve.a, curve.b)
     ends = np.cumsum(primes)
     starts = ends - primes
     counts = np.empty(len(primes), dtype=np.int64)
@@ -168,21 +185,55 @@ def _affine_counts(curve: Curve, primes: np.ndarray) -> np.ndarray:
         p = primes[lo:hi]
         offsets = starts[lo:hi] - starts[lo]
         start, pp = np.repeat(offsets, p), np.repeat(p, p)
-        x = np.arange(len(pp), dtype=np.int64)
-        x -= start
-        t = x * x
-        t %= pp
-        points = np.zeros(len(pp), dtype=np.int8)
-        points[start + t] = 2
-        points[offsets] = 1
-        t += np.repeat(a[lo:hi], p)
+        x, x2, points = _count_tables(p, offsets, start, pp)
+        ca, cb = (np.repeat(a[lo:hi], p), np.repeat(b[lo:hi], p)) if residues else (a, b)
+        t = np.add(x2, ca, dtype=np.int64)
         t *= x
-        t += np.repeat(b[lo:hi], p)
+        t += cb
         t %= pp
         t += start
         counts[lo:hi] = np.add.reduceat(points[t], offsets, dtype=np.int64)
         lo = hi
     return counts
+
+
+class _TableCache:
+    """x, x^2 mod p and the square counts of each block of `_affine_counts`,
+    keyed by the block's primes, so a block of any `_COUNT_BLOCK` layout is
+    found only by the same primes. Filled once and never evicted: a block
+    that would take the held bytes past `_COUNT_TABLE_BYTES` is built in
+    int64 for its one call and dropped, as an LRU over a layout larger than
+    the bound would drop every block before its next use. Kept blocks are
+    narrowed to int16 up to 2^15 pairs, int32 above: each x and x^2 mod p is
+    below the block's length."""
+
+    def __init__(self):
+        self.blocks = {}
+        self.nbytes = self.hits = self.misses = 0
+
+    def __call__(self, p, offsets, start, pp):
+        key = p.tobytes()
+        if key in self.blocks:
+            self.hits += 1
+            return self.blocks[key]
+        self.misses += 1
+        x = np.arange(len(pp), dtype=np.int64)
+        x -= start
+        x2 = x * x
+        x2 %= pp
+        points = np.zeros(len(pp), dtype=np.int8)
+        points[start + x2] = 2
+        points[offsets] = 1
+        narrow = np.dtype(np.int16 if len(pp) <= 1 << 15 else np.int32)
+        size = len(pp) * (2 * narrow.itemsize + 1)
+        if self.nbytes + size > _COUNT_TABLE_BYTES:
+            return x, x2, points
+        self.nbytes += size
+        tables = self.blocks[key] = (x.astype(narrow), x2.astype(narrow), points)
+        return tables
+
+
+_count_tables = _TableCache()
 
 
 @functools.lru_cache(maxsize=_ZETA_MEMO)

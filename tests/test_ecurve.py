@@ -275,13 +275,20 @@ class TestZetaCoefficients:
 
 
 # Seeded small curves, coefficients past 2^64 (so `_residues` reduces them
-# limb by limb), Curve(5, 25) with disc = 5^3 * 139, and Curve(-1, 1) with
-# disc = 23: bad primes on both sides of sqrt(m).
+# limb by limb), Curve(5, 25) with disc = 5^3 * 139, Curve(-1, 1) with
+# disc = 23: bad primes on both sides of sqrt(m), and |a| or |b| at 2^31 - 1
+# (the largest that enter the count as ints), at 2^31 (the smallest that
+# enter as residues) and at 2^55 (whose int product would wrap in int64).
 BLOCK_CURVES = sample_curves(4) + [
     Curve(2**70 + 3, -(3**45)),
     Curve(-(10**30) + 7, 10**21 + 9),
+    Curve(2**55 + 1, -(2**55) - 7),
     Curve(5, 25),
     Curve(-1, 1),
+    Curve(2**31 - 1, -(2**31 - 1)),
+    Curve(-(2**31 - 1), 2**31 - 1),
+    Curve(2**31, 3),
+    Curve(5, -(2**31)),
 ]
 
 
@@ -303,7 +310,23 @@ def per_prime_zeta(curve, m):
     return values[1:]
 
 
+def fresh_count_tables(monkeypatch):
+    tables = ecurve._TableCache()
+    monkeypatch.setattr(ecurve, "_count_tables", tables)
+    return tables
+
+
+def held_bytes(tables):
+    return sum(array.nbytes for block in tables.blocks.values() for array in block)
+
+
 class TestBlockedCounts:
+    @pytest.fixture(autouse=True)
+    def tables(self, monkeypatch):
+        # Each test builds its own block tables, and a monkeypatched layout
+        # leaves none behind in the process-wide cache.
+        return fresh_count_tables(monkeypatch)
+
     @pytest.mark.parametrize("block", [1, 7, ecurve._COUNT_BLOCK])
     def test_affine_counts_equal_the_table_at_every_good_odd_prime(self, monkeypatch, block):
         # Every odd prime, bad ones included, so bad primes share blocks
@@ -314,6 +337,37 @@ class TestBlockedCounts:
             counts = ecurve._affine_counts(curve, primes) + 1
             expected = [count_points(curve, p) for p in primes.tolist()]
             assert counts.tolist() == expected, curve
+
+    @pytest.mark.parametrize("block", [1, 7, ecurve._COUNT_BLOCK])
+    def test_counts_past_the_byte_bound_equal_the_table(self, monkeypatch, tables, block):
+        # At bound 0 every block is built in int64 for its one call; at a
+        # bound of one block the first block is held and every later one
+        # passes the bound.
+        monkeypatch.setattr(ecurve, "_COUNT_BLOCK", block)
+        primes = primes_up_to(3000)[1:]
+        ecurve._affine_counts(BLOCK_CURVES[0], primes)
+        one_block = sum(array.nbytes for array in next(iter(tables.blocks.values())))
+        expected = {curve: [count_points(curve, p) for p in primes.tolist()] for curve in BLOCK_CURVES}
+        for bound in (0, one_block):
+            monkeypatch.setattr(ecurve, "_COUNT_TABLE_BYTES", bound)
+            bounded = fresh_count_tables(monkeypatch)
+            for curve in BLOCK_CURVES:
+                counts = ecurve._affine_counts(curve, primes) + 1
+                assert counts.tolist() == expected[curve], (curve, bound)
+            assert len(bounded.blocks) == (bound > 0)
+            assert bounded.nbytes == held_bytes(bounded) <= bound
+
+    @pytest.mark.parametrize("block", [1, 7, ecurve._COUNT_BLOCK])
+    def test_counts_at_primes_around_the_int16_limit(self, monkeypatch, tables, block):
+        # 32 749 < 2^15 < 32 771: the last block held in int16 and the first
+        # in int32, and 65 521, the largest prime below 2^16.
+        monkeypatch.setattr(ecurve, "_COUNT_BLOCK", block)
+        primes = np.array([32749, 32771, 65521], dtype=np.int64)
+        for curve in BLOCK_CURVES:
+            counts = ecurve._affine_counts(curve, primes) + 1
+            assert counts.tolist() == [count_points(curve, p) for p in primes.tolist()], curve
+        assert [held[0].dtype for held in tables.blocks.values()] == [np.int16, np.int32, np.int32]
+        assert tables.misses == 3
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 9, 24, 25, 26, 48, 49, 120, 121, 168, 169, 512, 1728])
     def test_sequence_equals_the_per_prime_loop(self, m):

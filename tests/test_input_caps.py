@@ -386,6 +386,21 @@ def test_sieve_growth_stops_at_the_cap(monkeypatch):
     assert numtheory.primes_up_to(5000)[-1] == 4999
 
 
+def test_count_tables_stay_within_their_bound_and_serve_a_repeated_length(monkeypatch):
+    tables = ecurve._TableCache()
+    monkeypatch.setattr(ecurve, "_count_tables", tables)
+    ecurve._zeta_values.__wrapped__(1, 1, 512)
+    before = tables.hits + tables.misses
+    ecurve._zeta_values.__wrapped__(1, 1, 1728)
+    n_blocks = tables.hits + tables.misses - before  # every block of the m = 1 728 layout
+    ecurve._zeta_values.__wrapped__(1, 1, 8000)  # its blocks pass the bound
+    assert tables.nbytes == sum(a.nbytes for block in tables.blocks.values() for a in block)
+    assert tables.nbytes <= ecurve._COUNT_TABLE_BYTES
+    hits, misses = tables.hits, tables.misses
+    ecurve._zeta_values.__wrapped__(2, -3, 1728)
+    assert (tables.hits - hits, tables.misses - misses) == (n_blocks, 0)
+
+
 def test_sweep_size_count_cap_fires_before_any_walk(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a walk started past the cap")
